@@ -1,7 +1,8 @@
 """Command-line interface: minkowski, curve, cover, sweep, galois, verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 not-tabulated
-(the input is valid but outside the reduction tables' valuation ranges).
+(the input is valid but outside the reduction tables' valuation ranges),
+4 internal error (a built-in cross-check failed; a bug, never expected).
 All data output is deterministic for fixed flags; the only non-data line is
 a version header, suppressible with --plain.
 """
@@ -24,6 +25,7 @@ from .errors import (
     SemistabError,
     SingularCurveError,
     SizeLimitError,
+    TheoremViolationError,
 )
 from .galois import (
     FiniteCover,
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NOT_TABULATED = 3
+EXIT_INTERNAL = 4
 
 
 def _header(args) -> None:
@@ -500,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, SingularCurveError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except TheoremViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -3,7 +3,7 @@
 The CLI maps these onto its exit-code contract: InvalidInputError and
 SingularCurveError are user errors (exit 2), NotTabulatedError marks inputs
 outside the tabulated valuation ranges (exit 3) and is deliberately distinct
-from invalid input.
+from invalid input, and TheoremViolationError is an internal error (exit 4).
 """
 
 

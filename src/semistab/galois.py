@@ -181,6 +181,13 @@ class PermutationGroup:
         ginv = inverse(g)
         return frozenset(compose(compose(g, x), ginv) for x in subset)
 
+    @functools.cached_property
+    def _index(self) -> "_GroupIndex":
+        # Kept on the object, not in a cache keyed by group equality: two
+        # equal groups built separately would otherwise compare their full
+        # element sets on every lookup and every parent check.
+        return _GroupIndex(self)
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -188,34 +195,33 @@ class Subgroup:
 
     parent: PermutationGroup
     elements: frozenset[Perm]
-
-    def validate(self) -> bool:
-        if identity(self.parent.degree) not in self.elements:
-            return False
-        if not self.elements <= self.parent.elements:
-            return False
-        return all(
-            compose(a, b) in self.elements
-            for a in self.elements
-            for b in self.elements
-        )
+    # The elements as a bitmask over the parent's element numbers; None
+    # when some element lies outside the parent.
+    mask: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", self.parent._index.mask_of(self.elements))
         if not self.validate():
             raise InvalidInputError("element set is not a subgroup")
+
+    def validate(self) -> bool:
+        return self.mask is not None and self.parent._index.is_subgroup(self.mask)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
+        index = self.parent._index
+        table = index.table
         return all(
-            compose(a, b) == compose(b, a)
-            for a, b in itertools.combinations(self.elements, 2)
+            table[a][b] == table[b][a]
+            for a, b in itertools.combinations(index.members(self.mask), 2)
         )
 
     def element_order_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(perm_order(x) for x in self.elements))
+        index = self.parent._index
+        return tuple(sorted(index.orders[i] for i in index.members(self.mask)))
 
     def conjugate_by(self, g: Perm) -> "Subgroup":
         return Subgroup(
@@ -226,93 +232,161 @@ class Subgroup:
         return (len(self.elements), tuple(sorted(self.elements)))
 
 
+class _GroupIndex:
+    """A group's elements numbered in sorted order, with a Cayley table.
+
+    table[i][j] is the number of elements[i] * elements[j]. Element subsets
+    are int bitmasks over the numbers. The table has |G|^2 entries, so only
+    the subgroup-lattice functions build it, once per group object.
+    """
+
+    def __init__(self, group: PermutationGroup) -> None:
+        self.group = group
+        elements = group.sorted_elements()
+        n = len(elements)
+        # The images of the first k points tell the elements apart; for a
+        # regular action (a deck group) k = 1.
+        for k in range(group.degree + 1):
+            by_prefix = {x[:k]: i for i, x in enumerate(elements)}
+            if len(by_prefix) == n:
+                break
+        prefixes = [x[:k] for x in elements]
+        self.elements = elements
+        self.order = n
+        self.identity = 0  # identity(degree) sorts first
+        self.table = [
+            [by_prefix[tuple(map(a.__getitem__, b))] for b in prefixes]
+            for a in elements
+        ]
+        self.inverse = [row.index(self.identity) for row in self.table]
+        self.orders = [perm_order(x) for x in elements]
+        self._by_prefix = by_prefix
+        self._prefix_length = k
+        self._conjugates: dict[int, tuple[int, ...]] = {}
+
+    @staticmethod
+    def mask(members) -> int:
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        return mask
+
+    @staticmethod
+    def members(mask: int) -> list[int]:
+        # bin(mask)[:1:-1] lists the bits from the lowest up.
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    def mask_of(self, elements) -> int | None:
+        """The bitmask of a set of permutations, or None if one is not in G."""
+        mask = 0
+        for x in elements:
+            i = self._by_prefix.get(x[: self._prefix_length])
+            if i is None or self.elements[i] != x:
+                return None
+            mask |= 1 << i
+        return mask
+
+    def is_subgroup(self, mask: int) -> bool:
+        """Whether the subset contains the identity and is closed under products."""
+        members = self.members(mask)
+        closed = set(members)
+        return self.identity in closed and all(
+            closed.issuperset(map(self.table[a].__getitem__, members))
+            for a in members
+        )
+
+    def close(self, gens: list[int]) -> int:
+        """The bitmask of the subgroup generated by the numbered elements gens."""
+        table = self.table
+        closed = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            row = table[frontier.pop()]
+            for g in gens:
+                y = row[g]
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+                    # More than half the group generates the whole group.
+                    if 2 * len(closed) > self.order:
+                        return (1 << self.order) - 1
+        return self.mask(closed)
+
+    def conjugates(self, mask: int) -> tuple[int, ...]:
+        """The distinct conjugates g H g^-1 of the subgroup H, as bitmasks."""
+        found = self._conjugates.get(mask)
+        if found is None:
+            table, members = self.table, self.members(mask)
+            tried = 0
+            distinct = set()
+            for g in range(self.order):
+                if tried >> g & 1:
+                    continue
+                # Every element of the left coset gH conjugates H alike.
+                coset = [table[g][h] for h in members]
+                tried |= self.mask(coset)
+                g_inv = self.inverse[g]
+                distinct.add(self.mask(table[x][g_inv] for x in coset))
+            found = self._conjugates[mask] = tuple(sorted(distinct))
+        return found
+
+    @functools.cached_property
+    def subgroups(self) -> "tuple[Subgroup, ...]":
+        """Every subgroup, as enumerate_subgroups describes."""
+        trivial = 1 << self.identity
+        # subgroup bitmask -> the generators it was closed from
+        known: dict[int, list[int]] = {trivial: []}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                gens, members = known[sub], self.members(sub)
+                tried = sub
+                for x in range(self.order):
+                    if tried >> x & 1:
+                        continue
+                    tried |= self.mask(self.table[x][h] for h in members)
+                    extended = self.close(gens + [x])
+                    if extended not in known:
+                        known[extended] = gens + [x]
+                        nxt.append(extended)
+            frontier = nxt
+        subs = [
+            Subgroup(
+                parent=self.group,
+                elements=frozenset(self.elements[i] for i in self.members(sub)),
+            )
+            for sub in known
+        ]
+        subs.sort(key=Subgroup.sort_key)
+        return tuple(subs)
+
+
+def _indexed(group: Subgroup | PermutationGroup) -> tuple[_GroupIndex, list[int]]:
+    """The index a group's elements are numbered in, and their numbers."""
+    if isinstance(group, Subgroup):
+        index = group.parent._index
+        return index, index.members(group.mask)
+    index = group._index
+    return index, list(range(index.order))
+
+
 def enumerate_subgroups(
     group: PermutationGroup, limit: int = MAX_GROUP_ORDER
 ) -> list[Subgroup]:
-    """All subgroups, by iterative closure.
+    """All subgroups, by extension one element at a time.
 
-    Seed with the cyclic subgroups, then extend each known subgroup by one
-    extra group element and close, until no new subgroup appears. Output is
-    deterministic: sorted by order, then by element set.
+    Starting from the trivial subgroup, extend each known subgroup H by one
+    element x per left coset xH (since <H, x> = <H, xh>) and close, until no
+    new subgroup appears. Every subgroup is reached: it is the last link of
+    a chain <x1> < <x1, x2> < ... Output is deterministic: sorted by order,
+    then by element set.
     """
     if group.order > limit:
         raise SizeLimitError(
             f"group order {group.order} exceeds enumeration limit {limit}"
         )
-    return list(_subgroups_cached(group))
-
-
-@functools.lru_cache(maxsize=64)
-def _subgroups_cached(group: PermutationGroup) -> tuple[Subgroup, ...]:
-    elements = group.sorted_elements()
-    full = frozenset(group.elements)
-    order = group.order
-
-    def close(seed: set[Perm]) -> frozenset[Perm]:
-        # A subset of more than half the group generates the whole group
-        # (its closure has order dividing |G| and exceeding |G|/2).
-        closed = set(seed)
-        frontier = list(seed)
-        while frontier:
-            x = frontier.pop()
-            for y in tuple(closed):
-                for z in (compose(x, y), compose(y, x)):
-                    if z not in closed:
-                        closed.add(z)
-                        frontier.append(z)
-                        if 2 * len(closed) > order:
-                            return full
-        return frozenset(closed)
-
-    known: set[frozenset[Perm]] = set()
-    for x in elements:
-        cyclic = {x}
-        y = x
-        while True:
-            y = compose(y, x)
-            if y in cyclic:
-                break
-            cyclic.add(y)
-        cyclic.add(identity(group.degree))
-        known.add(frozenset(cyclic))
-    seen_seeds: set[frozenset[Perm]] = set()
-    frontier = list(known)
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            if sub == full:
-                continue
-            for x in elements:
-                if x in sub:
-                    continue
-                seed = sub | {x}
-                key = frozenset(seed)
-                if key in seen_seeds:
-                    continue
-                seen_seeds.add(key)
-                extended = close(seed)
-                if extended not in known:
-                    known.add(extended)
-                    nxt.append(extended)
-        frontier = nxt
-    known.add(full)
-    subs = [Subgroup(parent=group, elements=s) for s in known]
-    subs.sort(key=Subgroup.sort_key)
-    return tuple(subs)
-
-
-def _close_subset(seed: set[Perm]) -> frozenset[Perm]:
-    """Close a nonempty subset of a finite group under multiplication."""
-    closed = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(closed):
-            for z in (compose(x, y), compose(y, x)):
-                if z not in closed:
-                    closed.add(z)
-                    frontier.append(z)
-    return frozenset(closed)
+    return list(group._index.subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +401,10 @@ class FiniteCover:
     generators: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise InvalidInputError(
+                f"cover degree must be at least 1, got {self.degree}"
+            )
         object.__setattr__(
             self,
             "generators",
@@ -340,15 +418,16 @@ class FiniteCover:
             )
 
     def is_transitive(self) -> bool:
+        moves = self.generators + tuple(inverse(g) for g in self.generators)
         reached = {0}
         frontier = [0]
         while frontier:
             i = frontier.pop()
-            for g in self.generators:
-                for j in (g[i], inverse(g)[i]):
-                    if j not in reached:
-                        reached.add(j)
-                        frontier.append(j)
+            for g in moves:
+                j = g[i]
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
         return len(reached) == self.degree
 
 
@@ -443,14 +522,7 @@ def fixed_point_check(closure: GaloisClosure, H: Subgroup, I: Subgroup) -> bool:
     deck = closure.deck_group
     if H.parent != deck or I.parent != deck:
         raise InvalidInputError("H and I must be subgroups of the deck group")
-    return any(I.elements <= c for c in _distinct_conjugates(deck, H.elements))
-
-
-@functools.lru_cache(maxsize=4096)
-def _distinct_conjugates(
-    group: PermutationGroup, subset: frozenset[Perm]
-) -> tuple[frozenset[Perm], ...]:
-    return tuple({group.conjugate_set(subset, g) for g in group.elements})
+    return any(I.mask & ~c == 0 for c in deck._index.conjugates(H.mask))
 
 
 def isomorphic(a: Subgroup | PermutationGroup, b: Subgroup | PermutationGroup) -> bool:
@@ -469,57 +541,55 @@ def isomorphic(a: Subgroup | PermutationGroup, b: Subgroup | PermutationGroup) -
     if abelian_a:
         # Finite abelian groups are determined by their element orders.
         return True
-    return _generator_mapping_search(
-        sorted(a.elements), sorted(b.elements)
-    )
+    return _generator_mapping_search(_indexed(a), _indexed(b))
 
 
-def _minimal_generators(elements: list[Perm]) -> list[Perm]:
-    degree = len(elements[0])
-    gens: list[Perm] = []
-    span: set[Perm] = {identity(degree)}
-    for x in sorted(elements, key=perm_order, reverse=True):
-        if x in span:
+def _minimal_generators(index: _GroupIndex, members: list[int]) -> list[int]:
+    full = index.mask(members)
+    gens: list[int] = []
+    span = 1 << index.identity
+    for x in sorted(members, key=index.orders.__getitem__, reverse=True):
+        if span >> x & 1:
             continue
         gens.append(x)
-        span = set(_close_subset(set(gens)))
-        if len(span) == len(elements):
+        span = index.close(gens)
+        if span == full:
             break
     return gens
 
 
-def _generator_mapping_search(a_elements: list[Perm], b_elements: list[Perm]) -> bool:
-    gens = _minimal_generators(a_elements)
-    a_set = set(a_elements)
-    b_by_order: dict[int, list[Perm]] = {}
-    for y in b_elements:
-        b_by_order.setdefault(perm_order(y), []).append(y)
+def _generator_mapping_search(
+    a: tuple[_GroupIndex, list[int]], b: tuple[_GroupIndex, list[int]]
+) -> bool:
+    (index_a, members_a), (index_b, members_b) = a, b
+    gens = _minimal_generators(index_a, members_a)
+    b_by_order: dict[int, list[int]] = {}
+    for y in members_b:
+        b_by_order.setdefault(index_b.orders[y], []).append(y)
 
-    def extends_to_isomorphism(images: list[Perm]) -> bool:
+    def extends_to_isomorphism(images: tuple[int, ...]) -> bool:
         # Grow the map by closing words in the generators; reject on the
         # first multiplicative conflict.
-        degree_a = len(a_elements[0])
-        degree_b = len(b_elements[0])
-        mapping = {identity(degree_a): identity(degree_b)}
-        frontier = [identity(degree_a)]
+        mapping = {index_a.identity: index_b.identity}
+        frontier = [index_a.identity]
         while frontier:
             x = frontier.pop()
+            row_a, row_b = index_a.table[x], index_b.table[mapping[x]]
             for g, h in zip(gens, images):
-                xg = compose(x, g)
-                yh = compose(mapping[x], h)
-                if xg in mapping:
-                    if mapping[xg] != yh:
-                        return False
-                else:
+                xg, yh = row_a[g], row_b[h]
+                image = mapping.get(xg)
+                if image is None:
                     mapping[xg] = yh
                     frontier.append(xg)
-        if len(mapping) != len(a_elements):
+                elif image != yh:
+                    return False
+        if len(mapping) != len(members_a):
             return False
-        return len(set(mapping.values())) == len(a_elements)
+        return len(set(mapping.values())) == len(members_a)
 
-    candidates = [b_by_order.get(perm_order(g), []) for g in gens]
+    candidates = [b_by_order.get(index_a.orders[g], []) for g in gens]
     return any(
-        extends_to_isomorphism(list(images))
+        extends_to_isomorphism(images)
         for images in itertools.product(*candidates)
     )
 
@@ -547,17 +617,16 @@ def classify_point(
         )
     direct = direct_matches[0]
 
-    all_subs = enumerate_subgroups(deck)
-    cells = []
-    for H in all_subs:
-        if not fixed_point_check(closure, H, I):
-            continue
-        proper_hit = any(
-            G.elements < H.elements and fixed_point_check(closure, G, I)
-            for G in all_subs
+    with_point = [
+        H for H in enumerate_subgroups(deck) if fixed_point_check(closure, H, I)
+    ]
+    cells = [
+        H
+        for H in with_point
+        if not any(
+            G.mask != H.mask and G.mask | H.mask == H.mask for G in with_point
         )
-        if not proper_hit:
-            cells.append(H)
+    ]
     if not cells:
         raise TheoremViolationError("no cell contains I")
     via_cover = {

@@ -107,11 +107,28 @@ class MinkowskiReport:
 
 
 def to_scientific(n: int, digits: int = 2) -> str:
-    """Round an exact integer to `digits` significant figures, as 'a.bEc'.
+    """Round an exact integer to `digits` significant figures, as 'a.be+XX'.
 
     Used for eyeballing table entries against their printed approximations;
-    the exact integer is always reported alongside.
+    the exact integer is always reported alongside. The rounding is exact
+    integer arithmetic (half to even, as `format` rounds a float), so
+    integers beyond the float range are fine.
     """
     if n == 0:
         return "0"
-    return format(float(n), f".{digits - 1}e")
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    exponent = len(str(n)) - 1
+    drop = exponent - (digits - 1)
+    if drop > 0:
+        kept, rest = divmod(n, 10**drop)
+        if 2 * rest > 10**drop or (2 * rest == 10**drop and kept % 2):
+            kept += 1
+        if kept == 10**digits:
+            kept //= 10
+            exponent += 1
+    else:
+        kept = n * 10**-drop
+    figures = str(kept)
+    mantissa = figures[0] + ("." + figures[1:] if digits > 1 else "")
+    return f"{sign}{mantissa}e{exponent:+03d}"

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import semistab.galois
 from semistab import __version__
 from semistab.cli import main
+from semistab.errors import TheoremViolationError
 
 
 def run(capsys, *argv):
@@ -39,6 +41,14 @@ class TestMinkowski:
         code, _, err = run(capsys, "minkowski", "--g", "0")
         assert code == 2
         assert "error" in err
+
+    def test_g9_beyond_float_range(self, capsys):
+        # |GL_18(Z/12)| is about 7e348, past the largest float.
+        code, out, _ = run(capsys, "minkowski", "--g", "9", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[8]["gl_mod_12_approx"] == "7.3e+348"
+        assert payload[1]["gl_mod_12_approx"] == "3.2e+16"
 
 
 class TestCurve:
@@ -213,6 +223,25 @@ class TestGalois:
     def test_bad_cycle_text(self, capsys):
         code, _, _ = run(capsys, "galois", "--degree", "3", "--gens", "(1 9)")
         assert code == 2
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_nonpositive_degree_rejected(self, capsys, degree):
+        code, _, err = run(capsys, "galois", "--degree", degree, "--gens", "()")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(closure, sub, reps):
+            raise TheoremViolationError("routes disagree")
+
+        monkeypatch.setattr(semistab.galois, "classify_point", broken)
+        code, out, err = run(
+            capsys, "galois", "--degree", "3", "--gens", "(1 2);(1 2 3)",
+            "--check-all", "--json",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: routes disagree\n"
 
 
 class TestVerify:

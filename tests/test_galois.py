@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import pytest
 
+from semistab.cli import main
 from semistab.errors import (
     DisconnectedCoverError,
     InvalidInputError,
@@ -43,6 +45,49 @@ EXPECTED_ORDERS = {
     "C2": 2, "C3": 3, "S3": 6, "C4": 4, "V4": 4, "D4": 8,
     "A4": 12, "S4": 24, "C6": 6, "D6": 12, "A5": 60,
 }
+# S4 x C2 (order 48, 98 subgroups), acting on six points.
+S4XC2_COVER = FiniteCover(
+    6, ((1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (2, 3, 0, 1, 4, 5))
+)
+
+# `semistab galois --check-all --json` stdout, recorded before the subgroup
+# lattice moved to an indexed group (Cayley table and bitmask subgroups).
+PINNED_LATTICE_JSON = {
+    ("4", "(1 2);(1 2 3 4)"): (
+        '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, '
+        '"subgroups": 9}, {"order": 3, "subgroups": 4}, {"order": 4, '
+        '"subgroups": 4}, {"order": 4, "subgroups": 3}, {"order": 6, '
+        '"subgroups": 4}, {"order": 8, "subgroups": 3}, {"order": 12, '
+        '"subgroups": 1}, {"order": 24, "subgroups": 1}], '
+        '"classified_subgroups": 30, "deck_group_order": 24, "degree": 4, '
+        '"generators": ["(1 2)", "(1 2 3 4)"], "orbit_size": 24, '
+        '"subgroup_count": 30}' "\n"
+    ),
+    ("5", "(1 2 3);(1 2 3 4 5)"): (
+        '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, '
+        '"subgroups": 15}, {"order": 3, "subgroups": 10}, {"order": 4, '
+        '"subgroups": 5}, {"order": 5, "subgroups": 6}, {"order": 6, '
+        '"subgroups": 10}, {"order": 10, "subgroups": 6}, {"order": 12, '
+        '"subgroups": 5}, {"order": 60, "subgroups": 1}], '
+        '"classified_subgroups": 59, "deck_group_order": 60, "degree": 5, '
+        '"generators": ["(1 2 3)", "(1 2 3 4 5)"], "orbit_size": 60, '
+        '"subgroup_count": 59}' "\n"
+    ),
+    ("6", "(1 2);(1 3 5)(2 4 6);(1 3)(2 4)"): (
+        '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, '
+        '"subgroups": 19}, {"order": 3, "subgroups": 4}, {"order": 4, '
+        '"subgroups": 25}, {"order": 4, "subgroups": 6}, {"order": 6, '
+        '"subgroups": 8}, {"order": 6, "subgroups": 4}, {"order": 8, '
+        '"subgroups": 12}, {"order": 8, "subgroups": 4}, {"order": 8, '
+        '"subgroups": 3}, {"order": 12, "subgroups": 1}, {"order": 12, '
+        '"subgroups": 4}, {"order": 16, "subgroups": 3}, {"order": 24, '
+        '"subgroups": 1}, {"order": 24, "subgroups": 2}, {"order": 48, '
+        '"subgroups": 1}], "classified_subgroups": 98, '
+        '"deck_group_order": 48, "degree": 6, "generators": ["(1 2)", '
+        '"(1 3 5)(2 4 6)", "(1 3)(2 4)"], "orbit_size": 48, '
+        '"subgroup_count": 98}' "\n"
+    ),
+}
 
 
 def coset_fixed_point_oracle(deck: PermutationGroup, H: Subgroup, I: Subgroup):
@@ -63,6 +108,44 @@ def coset_fixed_point_oracle(deck: PermutationGroup, H: Subgroup, I: Subgroup):
         if all(compose(i, g) in coset for i in I.elements):
             return True
     return False
+
+
+def subgroup_oracle(group: PermutationGroup) -> set[frozenset]:
+    """Independent oracle: every subgroup as a join of cyclic subgroups.
+
+    Joins each known subgroup with each cyclic subgroup, closing the union
+    of their generators under `compose`, until nothing new appears.
+    """
+    one = identity(group.degree)
+
+    def generated(gens):
+        closed = {one}
+        frontier = [one]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = compose(x, g)
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+        return frozenset(closed)
+
+    generators = {generated((x,)): (x,) for x in group.elements}
+    cyclic = [gens[0] for gens in generators.values()]
+    frontier = list(generators)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in cyclic:
+                if x in sub:
+                    continue
+                gens = generators[sub] + (x,)
+                joined = generated(gens)
+                if joined not in generators:
+                    generators[joined] = gens
+                    nxt.append(joined)
+        frontier = nxt
+    return set(generators)
 
 
 def random_transitive_cover(rng, max_degree=6) -> FiniteCover:
@@ -211,6 +294,26 @@ class TestSubgroupEnumeration:
                 for b in sub.elements
             )
 
+    @pytest.mark.parametrize(
+        "name, count", [("D4", 10), ("A4", 10), ("S4", 30), ("S4xC2", 98)]
+    )
+    def test_agrees_with_join_oracle(self, name, count):
+        cover = S4XC2_COVER if name == "S4xC2" else NAMED_COVERS[name]
+        deck = galois_closure(cover).deck_group
+        subs = enumerate_subgroups(deck)
+        assert len(subs) == count
+        assert {s.elements for s in subs} == subgroup_oracle(deck)
+        assert subs == sorted(subs, key=Subgroup.sort_key)
+
+    def test_equal_groups_keep_their_own_subgroups(self):
+        # Two closures of one cover give equal but distinct deck groups;
+        # each group's subgroups name that group as their parent.
+        first = galois_closure(NAMED_COVERS["S3"]).deck_group
+        second = galois_closure(NAMED_COVERS["S3"]).deck_group
+        assert first == second and first is not second
+        assert all(s.parent is first for s in enumerate_subgroups(first))
+        assert all(s.parent is second for s in enumerate_subgroups(second))
+
     def test_non_subgroup_rejected(self):
         deck = galois_closure(NAMED_COVERS["S3"]).deck_group
         some = next(x for x in deck.elements if perm_order(x) == 3)
@@ -241,7 +344,7 @@ class TestFixedPointCheck:
         trivial = next(s for s in subs if s.order == 1)
         assert all(fixed_point_check(closure, h, trivial) for h in subs)
 
-    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "C6"])
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "C6", "S4"])
     def test_agrees_with_coset_oracle(self, name):
         closure = galois_closure(NAMED_COVERS[name])
         subs = enumerate_subgroups(closure.deck_group)
@@ -335,3 +438,21 @@ class TestClassifyPoint:
         trivial = next(s for s in subs if s.order == 1)
         with pytest.raises(InvalidInputError):
             classify_point(closure, trivial, [])
+
+
+class TestGaloisCommand:
+    @pytest.mark.parametrize("degree, gens", sorted(PINNED_LATTICE_JSON))
+    def test_check_all_stdout_pinned(self, capsys, degree, gens):
+        argv = ["galois", "--degree", degree, "--gens", gens, "--check-all", "--json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == PINNED_LATTICE_JSON[degree, gens]
+
+    def test_s5_check_all(self, capsys):
+        argv = [
+            "galois", "--degree", "5", "--gens", "(1 2);(1 2 3 4 5)",
+            "--check-all", "--json",
+        ]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["deck_group_order"] == 120
+        assert data["subgroup_count"] == data["classified_subgroups"] == 156

@@ -111,6 +111,19 @@ class TestGlCardinality:
         assert to_scientific(gl_cardinality(6, 12)) == "1.2e+38"
         assert to_scientific(gl_cardinality(8, 12)) == "1.9e+68"
 
+    def test_scientific_beyond_float_range(self):
+        # float() overflows above about 1.8e308; the rounding is integer-only.
+        assert to_scientific(10**400 + 5 * 10**398) == "1.0e+400"
+        assert to_scientific(10**400 + 5 * 10**398 + 1) == "1.1e+400"
+        assert to_scientific(-(996 * 10**350)) == "-1.0e+353"
+        assert to_scientific(gl_cardinality(18, 12)).endswith("e+348")
+
+    def test_scientific_matches_float_formatting_when_exact(self):
+        # Below 2**53 float(n) is exact, and format() rounds half to even.
+        for n in (1, 9, 10, 15, 25, 35, 95, 96, 994, 995, 1005, 2**53 - 1):
+            for digits in (1, 2, 3):
+                assert to_scientific(n, digits) == format(float(n), f".{digits - 1}e")
+
     @pytest.mark.parametrize("m", range(2, 13))
     def test_brute_force_n1(self, m):
         assert gl_cardinality(1, m) == brute_force_gl_count(1, m)
