@@ -2,21 +2,26 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 not-tabulated
 (the input is valid but outside the reduction tables' valuation ranges),
-4 internal error (a built-in cross-check failed; a bug, never expected).
+4 internal error (a built-in cross-check failed; a bug, never expected),
+141 stdout closed early by its reader (e.g. piped into `head`; no traceback).
 All data output is deterministic for fixed flags; the only non-data line is
 a version header, suppressible with --plain.
+
+The per-prime monodromy and the degree come from monodromy.family_report and
+monodromy.curve_report; this module only serializes them. `sweep` computes
+its records serially: --threads is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .arith import lcm_all, parse_rational, valuation
+from .arith import parse_rational, valuation
 from .cover import CoverReport, enumerate_cover, locate
 from .curves import WeierstrassCurve, compute_invariants, family_curve
 from .errors import (
@@ -43,11 +48,10 @@ from .minkowski import (
     to_scientific,
 )
 from .monodromy import (
+    LocalMonodromyResult,
     MonodromyGroup,
-    bad_primes,
-    phi_family_at_2,
-    phi_family_at_3,
-    phi_general_curve,
+    curve_report,
+    family_report,
     semistability_degree,
 )
 
@@ -56,6 +60,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NOT_TABULATED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _header(args) -> None:
@@ -71,92 +76,40 @@ def rational_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def degree_report_data(s: Fraction) -> tuple[dict, int]:
-    """JSON payload for the family member y^2 = x^3 + s, with exit code.
-
-    Primes outside the tabulated ranges get an explicit not-tabulated
-    marker; the degree is present only when every bad prime resolves.
-    """
-    curve = family_curve(s)
-    delta = compute_invariants(curve).delta
-    monodromy = []
-    orders: list[int] = []
-    tabulated = True
-    for p in bad_primes(s):
-        try:
-            if p == 2:
-                group, provenance = phi_family_at_2(s), "family-table-2"
-            elif p == 3:
-                group, provenance = phi_family_at_3(s), "family-table-3"
-            else:
-                result = phi_general_curve(curve, p)
-                group, provenance = result.group, result.provenance
-            monodromy.append(
-                {
-                    "p": p,
-                    "group": group.label,
-                    "order": group.order,
-                    "provenance": provenance,
-                }
-            )
-            orders.append(group.order)
-        except NotTabulatedError as exc:
-            tabulated = False
-            monodromy.append(
-                {"p": p, "group": None, "order": None, "provenance": str(exc)}
-            )
-    data = {
-        "s": rational_str(s),
-        "delta": rational_str(delta),
-        "bad_primes": bad_primes(s),
-        "monodromy": monodromy,
-        "degree": lcm_all(orders) if tabulated else None,
-        "divides_minkowski": (24 % lcm_all(orders) == 0) if tabulated else None,
+def local_data(entry: LocalMonodromyResult) -> dict:
+    group = entry.group
+    return {
+        "p": entry.p,
+        "group": None if group is None else group.label,
+        "order": None if group is None else group.order,
+        "provenance": entry.provenance,
     }
-    return data, EXIT_OK if tabulated else EXIT_NOT_TABULATED
+
+
+def degree_report_data(s: Fraction) -> tuple[dict, int]:
+    """JSON payload for the family member y^2 = x^3 + s, with exit code."""
+    return general_report_data(family_curve(s))
 
 
 def general_report_data(curve: WeierstrassCurve) -> tuple[dict, int]:
-    """Per-prime report for an arbitrary curve, family mode when applicable."""
-    if curve.is_family_form():
-        return degree_report_data(curve.a6)
-    delta = compute_invariants(curve).delta
-    if delta.denominator != 1:
-        raise InvalidInputError("general mode requires an integral model")
-    from .arith import factorize
+    """JSON payload for a curve's report, with exit code.
 
-    monodromy = []
-    orders: list[int] = []
-    tabulated = True
-    primes = sorted(factorize(delta.numerator))
-    for p in primes:
-        try:
-            result = phi_general_curve(curve, p)
-            if result.group is MonodromyGroup.C1:
-                continue
-            monodromy.append(
-                {
-                    "p": p,
-                    "group": result.group.label,
-                    "order": result.group.order,
-                    "provenance": result.provenance,
-                }
-            )
-            orders.append(result.group.order)
-        except NotTabulatedError as exc:
-            tabulated = False
-            monodromy.append(
-                {"p": p, "group": None, "order": None, "provenance": str(exc)}
-            )
+    Refused primes carry their reason as provenance; the degree is present
+    only when every prime resolves. divides_minkowski is given for family
+    members only (the library refuses a degree that does not divide 24).
+    """
+    delta = compute_invariants(curve).delta
+    report = curve_report(curve)
+    degree = report.degree
     data = {
-        "s": None,
+        "s": None if report.s is None else rational_str(report.s),
         "delta": rational_str(delta),
-        "bad_primes": [m["p"] for m in monodromy],
-        "monodromy": monodromy,
-        "degree": lcm_all(orders) if tabulated else None,
-        "divides_minkowski": None,
+        "bad_primes": [entry.p for entry in report.locals],
+        "monodromy": [local_data(entry) for entry in report.locals],
+        "degree": degree,
+        "divides_minkowski": None if report.s is None or degree is None else True,
     }
-    return data, EXIT_OK if tabulated else EXIT_NOT_TABULATED
+    return data, EXIT_OK if degree is not None else EXIT_NOT_TABULATED
 
 
 def cover_report_data(report: CoverReport) -> dict:
@@ -259,26 +212,21 @@ def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
         ball_ids[str(p)] = (
             locate(s, report).label() if lo <= v <= hi else None
         )
-    data, code = degree_report_data(Fraction(s))
+    report = family_report(s)
     record.update(
-        degree=data["degree"],
-        locals=data["monodromy"],
+        degree=report.degree,
+        locals=[local_data(entry) for entry in report.locals],
         ball_ids=ball_ids,
     )
-    if code == EXIT_NOT_TABULATED:
+    if report.degree is None:
         record["note"] = "not-tabulated"
     return record
 
 
 def cmd_sweep(args) -> int:
     covers = {2: enumerate_cover(2, (0, 2)), 3: enumerate_cover(3, (0, 4))}
-    values = list(range(args.start, args.stop + 1, args.step))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(lambda s: sweep_record(s, covers), values))
-    else:
-        records = [sweep_record(s, covers) for s in values]
-    records.sort(key=lambda r: int(r["s"]))
+    values = sorted(range(args.start, args.stop + 1, args.step))
+    records = [sweep_record(s, covers) for s in values]
     try:
         with open(args.out, "w") as fh:
             for record in records:
@@ -385,21 +333,22 @@ def _verify_checks() -> list[tuple[str, bool]]:
             lambda inv: inv.c4 == 0 and inv.delta == -432 and inv.j == 0
         )(compute_invariants(family_curve(1))),
     )
+    def group_at(p: int, s: int) -> MonodromyGroup | None:
+        return family_report(s).local_at(p).group
+
     add(
         "monodromy at 3: C4 for s=1,8,10,17,216; Dic3 for s=2,9,81,54",
         lambda: all(
-            phi_family_at_3(s) is MonodromyGroup.C4 for s in (1, 8, 10, 17, 216)
+            group_at(3, s) is MonodromyGroup.C4 for s in (1, 8, 10, 17, 216)
         )
-        and all(
-            phi_family_at_3(s) is MonodromyGroup.DIC3 for s in (2, 9, 81, 54)
-        ),
+        and all(group_at(3, s) is MonodromyGroup.DIC3 for s in (2, 9, 81, 54)),
     )
     add(
         "monodromy at 2: C3/C6/C2/SL2(F3) cases",
-        lambda: all(phi_family_at_2(s) is MonodromyGroup.C3 for s in (1, 5, 12))
-        and all(phi_family_at_2(s) is MonodromyGroup.C6 for s in (3, 7))
-        and all(phi_family_at_2(s) is MonodromyGroup.C2 for s in (2, 6))
-        and all(phi_family_at_2(s) is MonodromyGroup.SL2F3 for s in (4, 20)),
+        lambda: all(group_at(2, s) is MonodromyGroup.C3 for s in (1, 5, 12))
+        and all(group_at(2, s) is MonodromyGroup.C6 for s in (3, 7))
+        and all(group_at(2, s) is MonodromyGroup.C2 for s in (2, 6))
+        and all(group_at(2, s) is MonodromyGroup.SL2F3 for s in (4, 20)),
     )
     add(
         "curve s=4 has maximal monodromy at 2 and 3, degree 24",
@@ -474,7 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", type=int, required=True, dest="stop")
     p_sweep.add_argument("--step", type=int, default=1)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; records are computed serially",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_galois = sub.add_parser("galois", help="Galois closure of a finite cover")
@@ -509,7 +463,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`). Point stdout at devnull so
+        # that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, Rational, valuation
-from .errors import InvalidInputError, SingularCurveError, UnsupportedPrimeError
+from .errors import (
+    InvalidInputError,
+    SingularCurveError,
+    TheoremViolationError,
+    UnsupportedPrimeError,
+)
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,7 @@ class WeierstrassCurve:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.discriminant() == 0:
-            raise SingularCurveError(f"singular curve: {self}")
+        compute_invariants(self)  # raises SingularCurveError when delta = 0
 
     def is_short_form(self) -> bool:
         return self.a1 == self.a2 == self.a3 == 0
@@ -42,19 +46,6 @@ class WeierstrassCurve:
     def is_family_form(self) -> bool:
         """True for y^2 = x^3 + s, i.e. a1 = a2 = a3 = a4 = 0."""
         return self.is_short_form() and self.a4 == 0
-
-    def discriminant(self) -> Fraction:
-        b2 = self.a1**2 + 4 * self.a2
-        b4 = 2 * self.a4 + self.a1 * self.a3
-        b6 = self.a3**2 + 4 * self.a6
-        b8 = (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
-        return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,8 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     """All derived b/c invariants, discriminant and j of a Weierstrass curve.
 
     The exact identities 1728*delta = c4^3 - c6^2 and 4*b8 = b2*b6 - b4^2
-    are asserted on every call.
+    are checked on every call (TheoremViolationError if one fails); a
+    vanishing discriminant raises SingularCurveError.
     """
     b2 = curve.a1**2 + 4 * curve.a2
     b4 = 2 * curve.a4 + curve.a1 * curve.a3
@@ -100,9 +92,9 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
     if delta == 0:
-        raise SingularCurveError("discriminant vanishes")
-    assert 4 * b8 == b2 * b6 - b4**2
-    assert 1728 * delta == c4**3 - c6**2
+        raise SingularCurveError(f"singular curve: {curve}")
+    if 4 * b8 != b2 * b6 - b4**2 or 1728 * delta != c4**3 - c6**2:
+        raise TheoremViolationError(f"b/c invariant identities fail for {curve}")
     return CurveInvariants(
         b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, delta=delta, j=c4**3 / delta
     )

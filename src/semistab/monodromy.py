@@ -8,7 +8,14 @@ the lcm of these orders over all bad primes of the minimal model.
 At p = 2 and p = 3 the groups come from the reduction tables for the
 family, valid only in small valuation ranges of s; outside those ranges we
 refuse (NotTabulatedError) rather than extrapolate. At p >= 5 reduction is
-tame and the group follows from the valuation of the minimal discriminant.
+tame (Serre-Tate) and the group follows from the valuation of the minimal
+discriminant.
+
+This module is the one place that derives a curve's per-prime results:
+family_report and curve_report return every bad prime in prime order, a
+refused prime carried as data (group None, the refusal's text as its
+provenance), together with the lcm, which is checked to divide 24.
+semistability_degree is family_report that raises on the first refusal.
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from fractions import Fraction
 from .arith import Rational, factorize, lcm_all, residue, unit_part, valuation
 from .curves import (
     WeierstrassCurve,
-    family_curve,
+    compute_invariants,
     minimalize_at_p,
     reduction_class_at_p,
     valuation_profile,
 )
 from .errors import (
+    InvalidInputError,
     NotTabulatedError,
     SingularCurveError,
     TheoremViolationError,
@@ -65,11 +73,17 @@ _CYCLIC_BY_ORDER = {
 
 @dataclass(frozen=True)
 class LocalMonodromyResult:
+    """The monodromy group at p, or None when the tables refuse p."""
+
     p: int
-    group: MonodromyGroup
-    provenance: str  # family-table-2 | family-table-3 | tame-rule | good-reduction
+    group: MonodromyGroup | None
+    # family-table-2 | family-table-3 | tame-rule | good-reduction, or the
+    # NotTabulatedError text when group is None
+    provenance: str
 
     def __post_init__(self) -> None:
+        if self.group is None:
+            return
         ok = {
             "family-table-2": self.p == 2,
             "family-table-3": self.p == 3,
@@ -84,12 +98,15 @@ class LocalMonodromyResult:
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Semi-stability degree of one family member, with its local data."""
+    """Local data of one curve at its bad primes, in prime order, and d(E).
 
-    s: Fraction
+    s is the family parameter, None for a curve outside the family. degree
+    is None when some prime is refused.
+    """
+
+    s: Fraction | None
     locals: tuple[LocalMonodromyResult, ...]
-    degree: int
-    divides_bound: bool
+    degree: int | None
 
     def local_at(self, p: int) -> LocalMonodromyResult | None:
         for entry in self.locals:
@@ -175,19 +192,12 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     return _CYCLIC_BY_ORDER[e]
 
 
-def _minimal_family_parameter(s: Fraction, p: int) -> Fraction:
-    """Rescale s by a 6th power of p so that v_p(s) lies in 0..5."""
-    v = valuation(s, p)
-    shift = 6 * (v // 6)
-    return s / Fraction(p) ** shift
-
-
 def _phi_family_tame(s: Fraction, p: int) -> MonodromyGroup:
     """Closed form of the tame rule for the family: order 6/gcd(v_p(s), 6).
 
-    Equivalent to minimalizing y^2 = x^3 + s at p and applying phi_tame
-    (v_p of the minimal discriminant is 2 * (v_p(s) mod 6)); kept closed-form
-    to avoid building curve invariants in batch paths.
+    Equivalent to minimalizing y^2 = x^3 + s at p (rescaling s by a 6th
+    power of p, which also covers negative valuations) and applying phi_tame:
+    v_p of the minimal discriminant is 2 * (v_p(s) mod 6).
     """
     k = int(valuation(s, p)) % 6
     if k == 0:
@@ -213,33 +223,33 @@ def bad_primes(s: Fraction) -> list[int]:
     return bad
 
 
+def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
+    provenance = "good-reduction" if group is MonodromyGroup.C1 else "tame-rule"
+    return LocalMonodromyResult(p=p, group=group, provenance=provenance)
+
+
+def _phi_family(s: Fraction, p: int) -> LocalMonodromyResult:
+    """Local monodromy of y^2 = x^3 + s at p: the tables at 2 and 3, the
+    closed-form tame rule at p >= 5."""
+    if p == 2:
+        return LocalMonodromyResult(2, phi_family_at_2(s), "family-table-2")
+    if p == 3:
+        return LocalMonodromyResult(3, phi_family_at_3(s), "family-table-3")
+    return _tame_result(p, _phi_family_tame(s, p))
+
+
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     """Local monodromy of an arbitrary integral Weierstrass curve at p.
 
-    For p >= 5 the curve is minimalized and the tame rule applies. At 2 and
-    3, family-form curves are routed to the tables; anything else is only
+    Family-form curves take the family's route. Otherwise, for p >= 5 the
+    curve is minimalized and the tame rule applies; at 2 and 3 it is only
     resolved when the given model has good reduction there.
     """
-    if p >= 5:
-        if curve.is_family_form():
-            # Rescaling s by a 6th power of p is the family's minimalization
-            # and also covers parameters with negative valuation at p.
-            minimal = family_curve(_minimal_family_parameter(Fraction(curve.a6), p))
-        else:
-            minimal, _ = minimalize_at_p(curve, p)
-        group = phi_tame(minimal, p)
-        provenance = "good-reduction" if group is MonodromyGroup.C1 else "tame-rule"
-        return LocalMonodromyResult(p=p, group=group, provenance=provenance)
     if curve.is_family_form():
-        s = curve.a6
-        if p == 2:
-            return LocalMonodromyResult(
-                p=2, group=phi_family_at_2(s), provenance="family-table-2"
-            )
-        return LocalMonodromyResult(
-            p=3, group=phi_family_at_3(s), provenance="family-table-3"
-        )
-    if valuation(curve.discriminant(), p) == 0:
+        return _phi_family(curve.a6, p)
+    if p >= 5:
+        return _tame_result(p, phi_tame(minimalize_at_p(curve, p)[0], p))
+    if valuation(compute_invariants(curve).delta, p) == 0:
         return LocalMonodromyResult(
             p=p, group=MonodromyGroup.C1, provenance="good-reduction"
         )
@@ -248,32 +258,70 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     )
 
 
-def semistability_degree(s: Rational) -> DegreeReport:
-    """d(E_s) = lcm over bad primes of the local monodromy orders.
+def _or_refusal(derive, subject, p: int) -> LocalMonodromyResult:
+    """derive(subject, p), or the refusal of p carried as data."""
+    try:
+        return derive(subject, p)
+    except NotTabulatedError as exc:
+        return LocalMonodromyResult(p=p, group=None, provenance=str(exc))
 
-    Requires v2(s) in {0,1,2} and v3(s) in {0..4}; the result always
-    divides 24 and this is asserted.
-    """
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0")
-    locals_: list[LocalMonodromyResult] = []
-    for p in bad_primes(s):
-        if p == 2:
-            group = phi_family_at_2(s)
-            provenance = "family-table-2"
-        elif p == 3:
-            group = phi_family_at_3(s)
-            provenance = "family-table-3"
-        else:
-            group = _phi_family_tame(s, p)
-            provenance = "tame-rule"
-        locals_.append(LocalMonodromyResult(p=p, group=group, provenance=provenance))
+
+def _degree_report(
+    s: Fraction | None, locals_: list[LocalMonodromyResult]
+) -> DegreeReport:
+    """Attach d(E), the lcm of the local orders, unless a prime is refused."""
+    if any(entry.group is None for entry in locals_):
+        return DegreeReport(s=s, locals=tuple(locals_), degree=None)
     degree = lcm_all([entry.group.order for entry in locals_])
     if 24 % degree != 0:
         raise TheoremViolationError(
             f"degree {degree} does not divide the g=1 bound 24 (s = {s})"
         )
-    return DegreeReport(
-        s=s, locals=tuple(locals_), degree=degree, divides_bound=True
+    return DegreeReport(s=s, locals=tuple(locals_), degree=degree)
+
+
+def family_report(s: Rational) -> DegreeReport:
+    """Local monodromy of y^2 = x^3 + s at every bad prime, and d(E_s).
+
+    Primes outside the tabulated ranges are refused as data; the degree is
+    then None.
+    """
+    s = Fraction(s)
+    if s == 0:
+        raise SingularCurveError("s = 0")
+    return _degree_report(s, [_or_refusal(_phi_family, s, p) for p in bad_primes(s)])
+
+
+def curve_report(curve: WeierstrassCurve) -> DegreeReport:
+    """Local monodromy of a curve at its primes of nontrivial monodromy.
+
+    Family-form curves take family_report. Any other curve must be integral;
+    the primes dividing its discriminant are tried and those with trivial
+    monodromy (good or multiplicative reduction) are left out.
+    """
+    if curve.is_family_form():
+        return family_report(curve.a6)
+    delta = compute_invariants(curve).delta
+    if delta.denominator != 1:
+        raise InvalidInputError("general mode requires an integral model")
+    results = [
+        _or_refusal(phi_general_curve, curve, p)
+        for p in sorted(factorize(delta.numerator))
+    ]
+    return _degree_report(
+        None, [entry for entry in results if entry.group is not MonodromyGroup.C1]
     )
+
+
+def semistability_degree(s: Rational) -> DegreeReport:
+    """d(E_s) = lcm over bad primes of the local monodromy orders.
+
+    Requires v2(s) in {0,1,2} and v3(s) in {0..4}: otherwise raises
+    NotTabulatedError with the first refused prime's reason. The result
+    always divides 24, and this is checked.
+    """
+    report = family_report(s)
+    for entry in report.locals:
+        if entry.group is None:
+            raise NotTabulatedError(entry.provenance)
+    return report

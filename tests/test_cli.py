@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,22 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["minkowski"])
         assert exc.value.code == 2
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self):
+        # A pipe whose read end is already closed: the first write fails,
+        # as it does once `| head -c 50` has read its bytes and exited.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "semistab", "minkowski", "--g", "9",
+                 "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

@@ -17,6 +17,8 @@ from semistab.errors import (
 from semistab.monodromy import (
     MonodromyGroup,
     bad_primes,
+    curve_report,
+    family_report,
     phi_family_at_2,
     phi_family_at_3,
     phi_general_curve,
@@ -138,7 +140,7 @@ class TestSemistabilityDegree:
         assert report.degree == 24
         assert report.local_at(2).group is G.SL2F3
         assert report.local_at(3).group is G.DIC3
-        assert report.divides_bound
+        assert 24 % report.degree == 0
 
     def test_s1(self):
         report = semistability_degree(1)
@@ -196,6 +198,37 @@ class TestSemistabilityDegree:
 
     def test_empty_lcm_convention(self):
         assert lcm_all([]) == 1
+
+
+class TestReports:
+    def test_refusals_are_data_in_prime_order(self):
+        report = family_report(1944)  # 2^3 * 3^5
+        assert report.degree is None
+        assert [(e.p, e.group) for e in report.locals] == [(2, None), (3, None)]
+        assert report.local_at(2).provenance.startswith("v2(s) = 3")
+        assert report.local_at(3).provenance.startswith("v3(s) = 5")
+
+    def test_partial_refusal_keeps_resolved_primes(self):
+        report = family_report(8 * 19)  # = -1 mod 9
+        assert report.degree is None
+        assert report.local_at(2).group is None
+        assert report.local_at(3).group is G.C4
+        assert report.local_at(19).group is G.C6
+
+    def test_semistability_degree_raises_first_refusal(self):
+        with pytest.raises(NotTabulatedError) as exc:
+            semistability_degree(1944)
+        assert str(exc.value) == family_report(1944).local_at(2).provenance
+
+    def test_curve_report_omits_trivial_primes(self):
+        # delta = -368 = -2^4 * 23: refused at 2, multiplicative at 23.
+        report = curve_report(WeierstrassCurve(0, 0, 0, -1, 1))
+        assert report.s is None
+        assert report.degree is None
+        assert [e.p for e in report.locals] == [2]
+
+    def test_curve_report_family_form(self):
+        assert curve_report(family_curve(4)) == family_report(4)
 
 
 class TestPhiGeneralCurve:

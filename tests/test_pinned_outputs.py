@@ -1,0 +1,103 @@
+"""Byte-exact CLI outputs, recorded before the family pipeline moved into
+the monodromy module; any change to these bytes is a change of behaviour."""
+
+from pathlib import Path
+
+import pytest
+
+from semistab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CURVE_JSON = {
+    "4": (
+        0,
+        '{"bad_primes": [2, 3], "degree": 24, "delta": "-6912", '
+        '"divides_minkowski": true, "monodromy": [{"group": "SL2(F3)", '
+        '"order": 24, "p": 2, "provenance": "family-table-2"}, '
+        '{"group": "Dic3", "order": 12, "p": 3, "provenance": '
+        '"family-table-3"}], "s": "4"}',
+    ),
+    "8": (
+        3,
+        '{"bad_primes": [2, 3], "degree": null, "delta": "-27648", '
+        '"divides_minkowski": null, "monodromy": [{"group": null, '
+        '"order": null, "p": 2, "provenance": "v2(s) = 3 outside '
+        'tabulated range 0..2"}, {"group": "C4", "order": 4, "p": 3, '
+        '"provenance": "family-table-3"}], "s": "8"}',
+    ),
+    # 1944 = 2^3 * 3^5: refused at both 2 and 3.
+    "1944": (
+        3,
+        '{"bad_primes": [2, 3], "degree": null, "delta": "-1632586752", '
+        '"divides_minkowski": null, "monodromy": [{"group": null, '
+        '"order": null, "p": 2, "provenance": "v2(s) = 3 outside '
+        'tabulated range 0..2"}, {"group": null, "order": null, "p": 3, '
+        '"provenance": "v3(s) = 5 outside tabulated range 0..4"}], '
+        '"s": "1944"}',
+    ),
+    "-27/5": (
+        0,
+        '{"bad_primes": [2, 3, 5], "degree": 12, "delta": "-314928/25", '
+        '"divides_minkowski": true, "monodromy": [{"group": "C3", '
+        '"order": 3, "p": 2, "provenance": "family-table-2"}, {"group": '
+        '"Dic3", "order": 12, "p": 3, "provenance": "family-table-3"}, '
+        '{"group": "C6", "order": 6, "p": 5, "provenance": "tame-rule"}], '
+        '"s": "-27/5"}',
+    ),
+    # 7 * 5^6: good at 5 after the sextic rescaling.
+    "109375": (
+        0,
+        '{"bad_primes": [2, 3, 7], "degree": 12, "delta": "-5167968750000", '
+        '"divides_minkowski": true, "monodromy": [{"group": "C6", '
+        '"order": 6, "p": 2, "provenance": "family-table-2"}, {"group": '
+        '"Dic3", "order": 12, "p": 3, "provenance": "family-table-3"}, '
+        '{"group": "C6", "order": 6, "p": 7, "provenance": "tame-rule"}], '
+        '"s": "109375"}',
+    ),
+    "1/64": (
+        3,
+        '{"bad_primes": [2, 3], "degree": null, "delta": "-27/256", '
+        '"divides_minkowski": null, "monodromy": [{"group": null, '
+        '"order": null, "p": 2, "provenance": "v2(s) = -6 outside '
+        'tabulated range 0..2"}, {"group": "C4", "order": 4, "p": 3, '
+        '"provenance": "family-table-3"}], "s": "1/64"}',
+    ),
+}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s", sorted(CURVE_JSON))
+def test_curve_family_json(capsys, s):
+    code, out = run(capsys, "curve", f"--s={s}", "--json")
+    assert (code, out) == (CURVE_JSON[s][0], CURVE_JSON[s][1] + "\n")
+
+
+def test_curve_general_json(capsys):
+    # delta = -368 = -2^4 * 23: refused at 2, multiplicative (omitted) at 23.
+    code, out = run(capsys, "curve", "--a", "0,0,0,-1,1", "--json")
+    assert code == 3
+    assert out == (
+        '{"bad_primes": [2], "degree": null, "delta": "-368", '
+        '"divides_minkowski": null, "monodromy": [{"group": null, '
+        '"order": null, "p": 2, "provenance": "monodromy at 2 is tabulated '
+        'only for family curves y^2 = x^3 + s"}], "s": null}\n'
+    )
+
+
+def test_sweep_jsonl_and_summary(capsys, tmp_path):
+    out_file = tmp_path / "sweep.jsonl"
+    code, out = run(
+        capsys, "--plain", "sweep", "--from", "-30", "--to", "60",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert out == (
+        '{"all_degrees_divide_24": true, "degree_counts": {"12": 74, '
+        '"24": 6, "not-tabulated": 11}, "records": 91}\n'
+    )
+    assert out_file.read_bytes() == (GOLDEN / "sweep_-30_60.jsonl").read_bytes()
