@@ -7,6 +7,7 @@ touches floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator
 
@@ -57,7 +58,9 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's variant)."""
+    """A nontrivial factor of composite n: Pollard rho on x -> x^2 + c with
+    Floyd's cycle finding (tortoise and hare), retried with c + 1 when the
+    walk closes without splitting n."""
     if n % 2 == 0:
         return 2
     x0 = 2
@@ -75,29 +78,44 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
+#: Trial division covers the primes below this bound, and so does the
+#: table lookup in valuation's primality check.
+_TRIAL_BOUND = 10_000
+
 _SMALL_PRIMES: tuple[int, ...] | None = None
+
+
+def _trial_primes() -> tuple[int, ...]:
+    """The primes below _TRIAL_BOUND, sieved once on first use."""
+    global _SMALL_PRIMES
+    if _SMALL_PRIMES is None:
+        _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
+    return _SMALL_PRIMES
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division by small primes, Pollard rho for any stubborn cofactor.
-    Inputs are expected to be desk-scale; there is no safeguard against
-    adversarially large semiprimes.
+    Trial division by the primes below 10^4 stops once p^2 exceeds what is
+    left, which is then 1 or a prime; Pollard rho splits a cofactor with no
+    prime factor below 10^4. Inputs are expected to be desk-scale; there is
+    no safeguard against adversarially large semiprimes.
     """
     n = abs(n)
     if n == 0:
         raise InvalidInputError("cannot factorize 0")
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = tuple(primes_up_to(10_000))
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        if n == 1:
+    for p in _trial_primes():
+        if p * p > n:
+            if n > 1:
+                factors[n] = 1
             return factors
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
     stack = [n]
     while stack:
         m = stack.pop()
@@ -112,15 +130,30 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def valuation(x: Rational, p: int) -> int | float:
-    """p-adic valuation v_p(x), normalized v_p(p) = 1; v_p(0) = +infinity."""
-    if p < 2 or not is_prime(p):
+    """p-adic valuation v_p(x), normalized v_p(p) = 1; v_p(0) = +infinity.
+
+    p must be prime, else InvalidInputError. Below 10^4 (_TRIAL_BOUND) that
+    is a lookup in factorize's table of trial-division primes; from 10^4 up
+    it is Miller-Rabin (is_prime). An int x is read as x/1, with no Fraction
+    built.
+    """
+    if p < _TRIAL_BOUND:
+        table = _trial_primes()
+        i = bisect_left(table, p)
+        prime = i < len(table) and table[i] == p
+    else:
+        prime = is_prime(p)
+    if not prime:
         raise InvalidInputError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    if num == 0:
         return INFINITY
     v = 0
-    num = x.numerator
-    den = x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -143,8 +176,11 @@ def residue(x: Rational, modulus: int) -> int:
     """Image of a rational with denominator invertible mod modulus.
 
     The denominator is inverted mod modulus; this is the canonical image of
-    x in Z/modulus when x is a p-adic integer for every p | modulus.
+    x in Z/modulus when x is a p-adic integer for every p | modulus. An int
+    is reduced directly.
     """
+    if isinstance(x, int):
+        return x % modulus
     x = Fraction(x)
     if math.gcd(x.denominator, modulus) != 1:
         raise InvalidInputError(

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import parse_rational, valuation
+from .arith import parse_rational
 from .cover import CoverReport, enumerate_cover, locate
 from .curves import WeierstrassCurve, compute_invariants, family_curve
 from .errors import (
@@ -207,11 +207,10 @@ def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
         return record
     ball_ids = {}
     for p, report in covers.items():
-        lo, hi = report.valuation_range
-        v = valuation(s, p)
-        ball_ids[str(p)] = (
-            locate(s, report).label() if lo <= v <= hi else None
-        )
+        try:
+            ball_ids[str(p)] = locate(s, report).label()
+        except NotTabulatedError:
+            ball_ids[str(p)] = None
     report = family_report(s)
     record.update(
         degree=report.degree,
@@ -224,6 +223,8 @@ def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.step == 0:
+        raise InvalidInputError("--step must not be 0")
     covers = {2: enumerate_cover(2, (0, 2)), 3: enumerate_cover(3, (0, 4))}
     values = sorted(range(args.start, args.stop + 1, args.step))
     records = [sweep_record(s, covers) for s in values]

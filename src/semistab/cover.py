@@ -7,15 +7,26 @@ the tabulated valuation strata and checks the covering properties.
 
 A ball is stored as (center, modulus_exponent k) with v_p(center) < k, so
 every element of center + p^k Z_p automatically shares the center's
-valuation; the stratum is readable off the center.
+valuation; the stratum is readable off the center. All balls of a stratum
+share one modulus exponent.
+
+`locate` is one indexed lookup, not a scan over the balls: it computes
+v = v_p(s) once, takes stratum v's exponent k and looks up the ball keyed by
+(v, s mod p^k) in an index kept on the CoverReport. The exact-cover check
+walks the units u of each stratum v in range, r = u * p^v mod p^m (m the
+check's exponent), and counts r's balls in a Counter keyed by
+(p^k, center): one lookup per distinct ball modulus, with no valuation
+computed per residue.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .arith import Rational, residue, unit_part, valuation
+from .arith import INFINITY, Rational, residue, valuation
 from .errors import NotTabulatedError, TheoremViolationError
 from .monodromy import (
     TABULATED_V2,
@@ -70,6 +81,20 @@ class CoverReport:
             counts[ball.group] = counts.get(ball.group, 0) + 1
         return sorted(counts.items(), key=lambda kv: kv[0].order)
 
+    @cached_property
+    def _index(self) -> tuple[dict[int, int], dict[tuple[int, int], PadicBall]]:
+        """Modulus exponent per stratum, and ball per (stratum, center)."""
+        exponents: dict[int, int] = {}
+        by_center: dict[tuple[int, int], PadicBall] = {}
+        for ball in self.balls:
+            v = ball.stratum
+            if exponents.setdefault(v, ball.modulus_exponent) != ball.modulus_exponent:
+                raise TheoremViolationError(
+                    f"stratum {v} at {self.p} has balls of different moduli"
+                )
+            by_center[(v, ball.center)] = ball
+        return exponents, by_center
+
 
 def _phi(p: int, s: Rational) -> MonodromyGroup:
     return phi_family_at_2(s) if p == 2 else phi_family_at_3(s)
@@ -86,7 +111,6 @@ def _stratum_balls(p: int, v: int) -> list[PadicBall]:
     depth = 1
     if (p == 3 and v in (0, 3)) or (p == 2 and v in (0, 2)):
         depth = 2
-    modulus = p ** (v + depth)
     balls = []
     for u in range(1, p**depth):
         if u % p == 0:
@@ -96,7 +120,6 @@ def _stratum_balls(p: int, v: int) -> list[PadicBall]:
         balls.append(
             PadicBall(p=p, center=center, modulus_exponent=v + depth, group=group)
         )
-    assert all(b.center < modulus for b in balls)
     return balls
 
 
@@ -131,28 +154,37 @@ def _assert_disjoint_exact_cover(report: CoverReport) -> None:
     p = report.p
     lo, hi = report.valuation_range
     max_exp = max(max(b.modulus_exponent for b in report.balls) + 2, 7)
-    modulus = p**max_exp
-    for r in range(1, modulus):
-        v = valuation(r, p)
-        if not lo <= v <= hi:
-            continue
-        hits = sum(1 for b in report.balls if r % p**b.modulus_exponent == b.center)
-        if hits != 1:
-            raise TheoremViolationError(
-                f"residue {r} mod {p}^{max_exp} lies in {hits} balls"
-            )
+    hits_by_key = Counter((p**b.modulus_exponent, b.center) for b in report.balls)
+    moduli = sorted({modulus for modulus, _ in hits_by_key})
+    # Residues r in 1..p^max_exp - 1 have v_p(r) < max_exp. Stratum v's
+    # residues are u * p^v for the units u, the multiples of p^v that p^(v+1)
+    # does not divide.
+    for v in range(max(lo, 0), min(hi, max_exp - 1) + 1):
+        for r in range(p**v, p**max_exp, p**v):
+            if r % p ** (v + 1) == 0:
+                continue
+            hits = 0
+            for m in moduli:
+                hits += hits_by_key.get((m, r % m), 0)
+            if hits != 1:
+                raise TheoremViolationError(
+                    f"residue {r} mod {p}^{max_exp} lies in {hits} balls"
+                )
 
 
 def locate(s: Rational, report: CoverReport) -> PadicBall:
     """The unique ball of the report containing s."""
-    s = Fraction(s)
-    v = valuation(s, report.p)
+    p = report.p
+    v = valuation(s, p)
     lo, hi = report.valuation_range
-    if s == 0 or not lo <= v <= hi:
+    if v == INFINITY or not lo <= v <= hi:
         raise NotTabulatedError(
-            f"v_{report.p}(s) = {v} outside report range {lo}..{hi}"
+            f"v_{p}(s) = {v} outside report range {lo}..{hi}"
         )
-    for ball in report.balls:
-        if ball.contains(s):
-            return ball
-    raise TheoremViolationError(f"{s} escaped every ball of the cover at {report.p}")
+    exponents, by_center = report._index
+    ball = by_center.get((v, residue(s, p ** exponents.get(v, 0))))
+    if ball is None:
+        raise TheoremViolationError(
+            f"{Fraction(s)} escaped every ball of the cover at {p}"
+        )
+    return ball

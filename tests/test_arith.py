@@ -59,7 +59,89 @@ class TestFactorize:
         assert product == n
 
 
+def factorize_oracle(n: int) -> dict[int, int]:
+    """Trial division by every d up to sqrt(n), with no prime table."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+class TestFactorizeOracle:
+    def test_matches_oracle_up_to_20000(self):
+        for n in range(1, 20_001):
+            got = factorize(n)
+            assert got == factorize_oracle(n), n
+            assert list(got) == sorted(got), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [97**2, 97 * 101, 9973**2, 9973 * 10007, 10007**2, 2 * 10007, -2 * 10007],
+    )
+    def test_boundary_values(self, n):
+        got = factorize(n)
+        assert got == factorize_oracle(abs(n))
+        assert list(got) == sorted(got)
+
+
+def naive_valuation(x: Fraction, p: int):
+    """v_p(x) by testing growing powers of p against num(x) and den(x)."""
+    if x == 0:
+        return INFINITY
+    up = down = 0
+    num, den = x.numerator, x.denominator
+    while num % p ** (up + 1) == 0:
+        up += 1
+    while den % p ** (down + 1) == 0:
+        down += 1
+    return up - down
+
+
 class TestValuation:
+    @given(
+        x=st.integers(min_value=-(10**12), max_value=10**12),
+        p=st.sampled_from([2, 3, 5, 7, 11, 9973, 10007]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_int_matches_naive_count(self, x, p):
+        assert valuation(x, p) == naive_valuation(Fraction(x), p)
+
+    @given(
+        x=st.fractions(max_denominator=10**6),
+        p=st.sampled_from([2, 3, 5, 7, 11, 9973, 10007]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_matches_naive_count(self, x, p):
+        assert valuation(x, p) == naive_valuation(x, p)
+
+    @pytest.mark.parametrize("x", [2**40 * 3**7, -(3**20), 5**9 * 7])
+    def test_int_and_fraction_agree_on_high_powers(self, x):
+        for p in (2, 3, 5, 7):
+            assert valuation(x, p) == valuation(Fraction(x), p)
+            assert valuation(Fraction(1, x), p) == -valuation(x, p)
+
+    @pytest.mark.parametrize(
+        "p", [0, 1, 4, 9999, 10001, (2**31 - 1) * (2**61 - 1), -3]
+    )
+    def test_nonprime_modulus_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="is not prime"):
+            valuation(12, p)
+        with pytest.raises(InvalidInputError, match="is not prime"):
+            valuation(Fraction(1, 12), p)
+
+    @pytest.mark.parametrize("p", [2, 9973, 10007, 2**61 - 1])
+    def test_primes_on_both_sides_of_the_table_accepted(self, p):
+        assert valuation(p**3, p) == 3
+        assert valuation(Fraction(5, p), p) == -1
+        assert valuation(0, p) == INFINITY
+
+
     def test_examples(self):
         assert valuation(12, 2) == 2
         assert valuation(12, 3) == 1
@@ -92,6 +174,14 @@ class TestResidue:
     def test_integer(self):
         assert residue(10, 9) == 1
         assert residue(-1, 9) == 8
+
+    @given(
+        n=st.integers(min_value=-(10**12), max_value=10**12),
+        modulus=st.sampled_from([1, 4, 9, 16, 27, 243]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_int_matches_fraction_route(self, n, modulus):
+        assert residue(n, modulus) == residue(Fraction(n, 1), modulus)
 
     def test_rational(self):
         # 10/7 mod 9: inverse of 7 is 4, 40 mod 9 = 4.

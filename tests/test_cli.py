@@ -189,6 +189,30 @@ class TestSweep:
         assert json.loads(out)["records"] == 0
         assert out_file.read_text() == ""
 
+    def test_zero_step_is_invalid_input(self, tmp_path):
+        out_file = tmp_path / "x.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "sweep", "--from", "1", "--to", "2",
+             "--step", "0", "--out", str(out_file)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: --step must not be 0\n"
+        assert not out_file.exists()
+
+    def test_negative_step(self, capsys, tmp_path):
+        # range(5, 2, -2): the end point stays exclusive on the far side.
+        out_file = tmp_path / "n.jsonl"
+        code, out, _ = run(
+            capsys, "sweep", "--from", "5", "--to", "1", "--step", "-2",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert json.loads(out)["records"] == 2
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [r["s"] for r in records] == ["3", "5"]
+
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--from", "1", "--to", "1",

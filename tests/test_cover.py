@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from semistab.arith import valuation
-from semistab.cover import PadicBall, enumerate_cover, locate
+from semistab.cover import (
+    CoverReport,
+    PadicBall,
+    _assert_disjoint_exact_cover,
+    enumerate_cover,
+    locate,
+)
 from semistab.errors import NotTabulatedError, TheoremViolationError
 from semistab.monodromy import (
     MonodromyGroup,
@@ -97,7 +103,73 @@ class TestCoverProperties:
                 assert phi(x) is ball.group
 
 
+class TestExactCoverCheck:
+    """The check enumerate_cover runs must reject every broken cover."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dropped_ball(self, p, reports):
+        report = reports[p]
+        for i in range(len(report.balls)):
+            broken = CoverReport(
+                p, report.valuation_range, report.balls[:i] + report.balls[i + 1 :]
+            )
+            with pytest.raises(TheoremViolationError, match="lies in 0 balls"):
+                _assert_disjoint_exact_cover(broken)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_duplicated_ball(self, p, reports):
+        report = reports[p]
+        for ball in report.balls:
+            broken = CoverReport(p, report.valuation_range, report.balls + (ball,))
+            with pytest.raises(TheoremViolationError, match="lies in 2 balls"):
+                _assert_disjoint_exact_cover(broken)
+
+    def test_coarser_ball_overlapping_two_finer(self, reports):
+        # 4 + 2^3 Z_2 holds both 4 + 2^4 Z_2 and 12 + 2^4 Z_2.
+        report = reports[2]
+        fine = [b for b in report.balls if b.stratum == 2]
+        assert [(b.center, b.modulus_exponent) for b in fine] == [(4, 4), (12, 4)]
+        coarse = PadicBall(p=2, center=4, modulus_exponent=3, group=G.C3)
+        with pytest.raises(TheoremViolationError, match="lies in 2 balls"):
+            _assert_disjoint_exact_cover(
+                CoverReport(2, report.valuation_range, report.balls + (coarse,))
+            )
+
+
+def linear_scan(s, report: CoverReport) -> PadicBall:
+    """locate's oracle: the one ball whose contains() accepts s."""
+    (ball,) = [b for b in report.balls if b.contains(s)]
+    return ball
+
+
 class TestLocate:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_agrees_with_linear_scan(self, p, reports, rng):
+        report = reports[p]
+        for ball in report.balls:
+            k = ball.modulus_exponent
+            for _ in range(50):
+                members = (
+                    ball.center + p**k * rng.randint(-(10**6), 10**6),
+                    random_ball_member(rng, ball),
+                )
+                for s in members:
+                    assert locate(s, report) is ball
+                    assert linear_scan(s, report) is ball
+        for _ in range(2000):
+            s = rng.choice(
+                [
+                    rng.randint(-(10**7), 10**7),
+                    Fraction(rng.randint(-(10**7), 10**7), rng.randint(1, 10**4)),
+                ]
+            )
+            lo, hi = report.valuation_range
+            if s == 0 or not lo <= valuation(s, p) <= hi:
+                with pytest.raises(NotTabulatedError):
+                    locate(s, report)
+                continue
+            assert locate(s, report) is linear_scan(s, report)
+
     def test_known_members(self, reports):
         ball = locate(10, reports[3])
         assert (ball.center, ball.modulus_exponent) == (1, 2)
@@ -112,6 +184,16 @@ class TestLocate:
             s = tabulated_s(rng)
             assert locate(s, reports[2]).group is phi_family_at_2(s)
             assert locate(s, reports[3]).group is phi_family_at_3(s)
+
+    def test_stratum_with_two_moduli_rejected(self, reports):
+        # The index reads one modulus per stratum off the balls; a report
+        # that mixes 1 + 3^2 Z_3 with 2 + 3 Z_3 cannot be indexed.
+        balls = (
+            next(b for b in reports[3].balls if b.center == 1),
+            PadicBall(p=3, center=2, modulus_exponent=1, group=G.DIC3),
+        )
+        with pytest.raises(TheoremViolationError, match="different moduli"):
+            locate(2, CoverReport(3, (0, 0), balls))
 
     def test_out_of_range(self, reports):
         with pytest.raises(NotTabulatedError):
