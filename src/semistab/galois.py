@@ -5,6 +5,9 @@ many monodromy generators on the fiber {0..n-1}. Its Galois closure is the
 orbit of the base tuple (0,..,n-1) under the diagonal action inside the
 n-fold product of the fiber; the deck group is the commuting (right
 multiplication) action on that orbit, simply transitive by construction.
+It is generated, like every group here, from the right multiplications by
+the cover's generators: right multiplication reverses products, so these
+generate exactly the right multiplications by the whole monodromy group.
 
 Points are 0-based internally; cycle notation at the I/O boundary is
 1-based.
@@ -75,23 +78,28 @@ def check_perm(a, degree: int) -> Perm:
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse 1-based cycle notation like '(1 2 3)(4 5)' or '1,2,3'."""
+    """Parse 1-based disjoint-cycle notation like '(1 2 3)(4 5)' or '1,2,3'."""
     text = text.strip()
     if not text:
         return identity(degree)
-    if "(" in text:
-        cycles = re.findall(r"\(([^()]*)\)", text)
-        if not cycles and text.strip("() "):
-            raise InvalidInputError(f"unbalanced cycle notation: {text!r}")
+    if "(" in text or ")" in text:
+        cycle_re = r"\(([^()]*)\)"
+        if re.sub(cycle_re, "", text).strip():
+            raise InvalidInputError(f"text outside cycles in {text!r}")
+        cycles = re.findall(cycle_re, text)
     else:
         cycles = [text]
     image = list(range(degree))
+    moved: set[int] = set()
     for cycle in cycles:
-        points = [int(tok) - 1 for tok in re.split(r"[,\s]+", cycle.strip()) if tok]
-        if not points:
-            continue
-        if len(set(points)) != len(points):
-            raise InvalidInputError(f"repeated point in cycle {cycle!r}")
+        tokens = [tok for tok in re.split(r"[,\s]+", cycle.strip()) if tok]
+        try:
+            points = [int(tok) - 1 for tok in tokens]
+        except ValueError:
+            raise InvalidInputError(f"non-integer point in {text!r}") from None
+        if moved.intersection(points) or len(set(points)) != len(points):
+            raise InvalidInputError(f"repeated point in {text!r}")
+        moved.update(points)
         for pt in points:
             if not 0 <= pt < degree:
                 raise InvalidInputError(
@@ -167,20 +175,6 @@ class PermutationGroup:
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements)
 
-    def is_abelian(self) -> bool:
-        gens = self.generators or tuple(self.elements)
-        return all(
-            compose(a, b) == compose(b, a)
-            for a, b in itertools.combinations(gens, 2)
-        )
-
-    def element_order_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(perm_order(x) for x in self.elements))
-
-    def conjugate_set(self, subset: frozenset[Perm], g: Perm) -> frozenset[Perm]:
-        ginv = inverse(g)
-        return frozenset(compose(compose(g, x), ginv) for x in subset)
-
     @functools.cached_property
     def _index(self) -> "_GroupIndex":
         # Kept on the object, not in a cache keyed by group equality: two
@@ -211,21 +205,11 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_abelian(self) -> bool:
-        index = self.parent._index
-        table = index.table
-        return all(
-            table[a][b] == table[b][a]
-            for a, b in itertools.combinations(index.members(self.mask), 2)
-        )
-
-    def element_order_multiset(self) -> tuple[int, ...]:
-        index = self.parent._index
-        return tuple(sorted(index.orders[i] for i in index.members(self.mask)))
-
     def conjugate_by(self, g: Perm) -> "Subgroup":
+        g_inv = inverse(g)
         return Subgroup(
-            parent=self.parent, elements=self.parent.conjugate_set(self.elements, g)
+            parent=self.parent,
+            elements=frozenset(compose(compose(g, x), g_inv) for x in self.elements),
         )
 
     def sort_key(self) -> tuple:
@@ -490,10 +474,10 @@ def galois_closure(
     def right_mult(h: Perm) -> Perm:
         return tuple(index[compose(t, h)] for t in orbit)
 
-    deck_gens = [right_mult(h) for h in cover.generators]
-    deck_elements = frozenset(right_mult(h) for h in group.elements)
-    deck = PermutationGroup(
-        degree=len(orbit), generators=tuple(deck_gens), elements=deck_elements
+    deck = PermutationGroup.generate(
+        [right_mult(h) for h in cover.generators],
+        len(orbit),
+        limit=max_group_order,
     )
     if deck.order != group.order:
         raise TheoremViolationError("deck action is not simply transitive")
@@ -533,15 +517,29 @@ def isomorphic(a: Subgroup | PermutationGroup, b: Subgroup | PermutationGroup) -
     """
     if a.order != b.order:
         return False
-    if a.element_order_multiset() != b.element_order_multiset():
+    indexed_a, indexed_b = _indexed(a), _indexed(b)
+    if _element_orders(indexed_a) != _element_orders(indexed_b):
         return False
-    abelian_a, abelian_b = a.is_abelian(), b.is_abelian()
-    if abelian_a != abelian_b:
+    abelian = _is_abelian(indexed_a)
+    if abelian != _is_abelian(indexed_b):
         return False
-    if abelian_a:
+    if abelian:
         # Finite abelian groups are determined by their element orders.
         return True
-    return _generator_mapping_search(_indexed(a), _indexed(b))
+    return _generator_mapping_search(indexed_a, indexed_b)
+
+
+def _element_orders(group: tuple[_GroupIndex, list[int]]) -> list[int]:
+    index, members = group
+    return sorted(map(index.orders.__getitem__, members))
+
+
+def _is_abelian(group: tuple[_GroupIndex, list[int]]) -> bool:
+    index, members = group
+    table = index.table
+    return all(
+        table[a][b] == table[b][a] for a, b in itertools.combinations(members, 2)
+    )
 
 
 def _minimal_generators(index: _GroupIndex, members: list[int]) -> list[int]:

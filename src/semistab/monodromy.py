@@ -212,15 +212,9 @@ def bad_primes(s: Fraction) -> list[int]:
     exactly when v_p(s) = 0 mod 6 (the curve minimalizes to a unit
     parameter there). 2 and 3 always remain bad (432 = 2^4 * 3^3).
     """
-    candidates = {2, 3}
-    candidates.update(factorize(s.numerator))
-    candidates.update(factorize(s.denominator))
-    bad = []
-    for p in sorted(candidates):
-        if p >= 5 and valuation(s, p) % 6 == 0:
-            continue
-        bad.append(p)
-    return bad
+    # |v_p(s)| for every p dividing s; numerator and denominator are coprime.
+    exponents = factorize(s.numerator) | factorize(s.denominator)
+    return sorted({2, 3} | {p for p, e in exponents.items() if e % 6})
 
 
 def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:

@@ -252,6 +252,18 @@ class TestGalois:
         code, _, _ = run(capsys, "galois", "--degree", "3", "--gens", "(1 9)")
         assert code == 2
 
+    @pytest.mark.parametrize("gens", ["(1 a)", "1,x", "(1 2 3)(4", "(1 2)(1 2)"])
+    def test_malformed_cycles_exit_2(self, gens):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "galois", "--degree", "3",
+             "--gens", gens],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: ")
+        assert b"Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("degree", ["0", "-1"])
     def test_nonpositive_degree_rejected(self, capsys, degree):
         code, _, err = run(capsys, "galois", "--degree", degree, "--gens", "()")

@@ -170,12 +170,30 @@ class TestPermutationBasics:
         assert format_cycles(identity(4)) == "()"
         assert parse_cycles("", 3) == identity(3)
         assert parse_cycles("1,2", 2) == (1, 0)
+        assert parse_cycles("1,2,3", 3) == (1, 2, 0)
+        assert parse_cycles("(1 2) (3 4)", 4) == (1, 0, 3, 2)
+        assert parse_cycles("()", 3) == identity(3)
+        assert parse_cycles("(1)(2 3)", 3) == (0, 2, 1)
 
     def test_parse_rejects_bad_input(self):
-        with pytest.raises(InvalidInputError):
-            parse_cycles("(1 2 9)", 4)
-        with pytest.raises(InvalidInputError):
-            parse_cycles("(1 1 2)", 4)
+        bad = [
+            ("(1 2 9)", 4),
+            ("(1 1 2)", 4),
+            # Tokens that are not point numbers.
+            ("(1 a)", 3),
+            ("1,x", 3),
+            # Text outside the parentheses.
+            ("(1 2 3)(4", 4),
+            ("(1 2 3) junk", 4),
+            ("((", 3),
+            # A point in two cycles: the cycles are not disjoint.
+            ("(1 2)(1 2)", 3),
+            ("(1 2)x(2 3)", 3),
+            ("(1 2)(2 3)", 3),
+        ]
+        for text, degree in bad:
+            with pytest.raises(InvalidInputError):
+                parse_cycles(text, degree)
 
     def test_compose_inverse_order(self):
         a = parse_cycles("(1 2 3)", 4)
@@ -241,6 +259,30 @@ class TestGaloisClosure:
             ]
             assert len(set(fiber_images)) == closure.deck_group.order
             assert {img[0] for img in fiber_images} == set(range(n))
+
+    @staticmethod
+    def right_multiplications(closure, perms):
+        """j -> index(orbit[j] * h) for each h, built with `compose`."""
+        index = {t: j for j, t in enumerate(closure.orbit)}
+        return [
+            tuple(index[compose(t, h)] for t in closure.orbit) for h in perms
+        ]
+
+    def test_deck_group_is_right_multiplication(self, rng):
+        covers = list(NAMED_COVERS.values()) + [S4XC2_COVER]
+        covers += [random_transitive_cover(rng, max_degree=5) for _ in range(30)]
+        for cover in covers:
+            closure = galois_closure(cover)
+            deck = closure.deck_group
+            assert deck.elements == frozenset(
+                self.right_multiplications(
+                    closure, closure.monodromy_group.elements
+                )
+            )
+            assert deck.generators == tuple(
+                self.right_multiplications(closure, cover.generators)
+            )
+            assert deck.degree == len(closure.orbit)
 
     def test_base_point_independence(self, rng):
         for _ in range(20):
@@ -387,6 +429,23 @@ class TestIsomorphism:
         )
         six = [s for s in enumerate_subgroups(s4) if s.order == 6]
         assert six and all(isomorphic(s, top_s3) for s in six)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [("C4", "V4", False), ("C6", "S3", False), ("A4", "D6", False),
+         ("D4", "D4", True)],
+    )
+    def test_whole_deck_groups(self, a, b, expected):
+        deck_a = galois_closure(NAMED_COVERS[a]).deck_group
+        deck_b = galois_closure(NAMED_COVERS[b]).deck_group
+        assert isomorphic(deck_a, deck_b) is expected
+        assert isomorphic(deck_b, deck_a) is expected
+
+    def test_deck_group_vs_its_top_subgroup(self):
+        deck = galois_closure(NAMED_COVERS["S3"]).deck_group
+        top = next(s for s in enumerate_subgroups(deck) if s.order == deck.order)
+        assert isomorphic(deck, top) is True
+        assert isomorphic(top, deck) is True
 
     def test_conjugates_are_isomorphic(self):
         deck = galois_closure(NAMED_COVERS["D4"]).deck_group
