@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import INFINITY, Rational, residue, valuation
-from .errors import NotTabulatedError, TheoremViolationError
+from .arith import INFINITY, Rational, is_prime, residue, valuation
+from .errors import InvalidInputError, NotTabulatedError, TheoremViolationError
 from .monodromy import (
     TABULATED_V2,
     TABULATED_V3,
@@ -126,10 +126,13 @@ def _stratum_balls(p: int, v: int) -> list[PadicBall]:
 def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     """Disjoint-ball decomposition of the strata v_p(s) in the given range.
 
-    Only the tabulated strata are available: 0..4 at p = 3, 0..2 at p = 2.
+    Only the tabulated strata are available: 0..4 at p = 3, 0..2 at p = 2;
+    a p that is not prime is invalid input, refused before any table lookup.
     Disjointness and exact coverage of each stratum are asserted before the
     report is returned.
     """
+    if not is_prime(p):
+        raise InvalidInputError(f"{p} is not prime")
     lo, hi = valuation_range
     if lo > hi:
         raise NotTabulatedError("empty valuation range")

@@ -132,41 +132,29 @@ def minimalize_at_p(
 ) -> tuple[WeierstrassCurve, int]:
     """Minimal model at p >= 5 for a short-form curve, with scaling exponent.
 
-    Applies the substitution (x, y) -> (p^2 x, p^3 y) while v_p(c4) >= 4,
-    v_p(c6) >= 6 and v_p(delta) >= 12, dividing (a4, a6) by (p^4, p^6);
-    each step drops v_p(delta) by 12 and preserves j.
+    Each step is the substitution (x, y) -> (p^2 x, p^3 y), dividing
+    (a4, a6) by (p^4, p^6); it drops v_p(delta) by 12 and preserves j. A step
+    needs v_p(c4) >= 4, v_p(c6) >= 6 and v_p(delta) >= 12. At p >= 5, 48 and
+    864 are p-units, so c4 = -48 a4 and c6 = -864 a6 make that v_p(a4) >= 4
+    and v_p(a6) >= 6, from which v_p(delta) >= 12 follows. A zero coefficient
+    puts no bound on the steps.
     """
     _require_tame_prime(p)
     if not curve.is_short_form():
         raise InvalidInputError(
             "minimalization implemented for short-form curves only"
         )
-    if valuation(curve.a4, p) < 0 or valuation(curve.a6, p) < 0:
+    coefficients = ((curve.a4, 4), (curve.a6, 6))
+    valuations = [(valuation(a, p), weight) for a, weight in coefficients if a]
+    if any(v < 0 for v, _ in valuations):
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"
         )
-    steps = 0
-    a4, a6 = curve.a4, curve.a6
-    while True:
-        c4 = -48 * a4
-        c6 = -864 * a6
-        delta = -16 * (4 * a4**3 + 27 * a6**2)
-        if (
-            valuation(c4, p) >= 4
-            and valuation(c6, p) >= 6
-            and valuation(delta, p) >= 12
-        ):
-            a4 /= p**4
-            a6 /= p**6
-            steps += 1
-        else:
-            break
+    steps = min(v // weight for v, weight in valuations)
     if steps == 0:
         return curve, 0
-    return (
-        WeierstrassCurve(Fraction(0), Fraction(0), Fraction(0), a4, a6),
-        steps,
-    )
+    scale = p**steps
+    return WeierstrassCurve(0, 0, 0, curve.a4 / scale**4, curve.a6 / scale**6), steps
 
 
 def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:

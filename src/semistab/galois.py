@@ -9,6 +9,10 @@ It is generated, like every group here, from the right multiplications by
 the cover's generators: right multiplication reverses products, so these
 generate exactly the right multiplications by the whole monodromy group.
 
+A subgroup is stored once, as an int bitmask over its parent's elements
+numbered in sorted order; its permutations are derived from the mask when
+first read.
+
 Points are 0-based internally; cycle notation at the I/O boundary is
 1-based.
 """
@@ -185,35 +189,40 @@ class PermutationGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """An element subset of a parent group, validated to be a subgroup."""
+    """A subgroup of a parent group, as a bitmask over the parent's element
+    numbers (sorted_elements() order), validated to be closed."""
 
     parent: PermutationGroup
-    elements: frozenset[Perm]
-    # The elements as a bitmask over the parent's element numbers; None
-    # when some element lies outside the parent.
-    mask: int | None = field(init=False, repr=False, compare=False)
+    mask: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mask", self.parent._index.mask_of(self.elements))
-        if not self.validate():
-            raise InvalidInputError("element set is not a subgroup")
+        if not self.parent._index.is_subgroup(self.mask):
+            raise InvalidInputError("bitmask is not a subgroup of the parent")
 
-    def validate(self) -> bool:
-        return self.mask is not None and self.parent._index.is_subgroup(self.mask)
+    @functools.cached_property
+    def elements(self) -> frozenset[Perm]:
+        """The permutations the mask numbers, built on first read."""
+        index = self.parent._index
+        return frozenset(map(index.elements.__getitem__, index.members(self.mask)))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def conjugate_by(self, g: Perm) -> "Subgroup":
         g_inv = inverse(g)
+        number = self.parent._index.number
         return Subgroup(
             parent=self.parent,
-            elements=frozenset(compose(compose(g, x), g_inv) for x in self.elements),
+            mask=_GroupIndex.mask(
+                number(compose(compose(g, x), g_inv)) for x in self.elements
+            ),
         )
 
     def sort_key(self) -> tuple:
-        return (len(self.elements), tuple(sorted(self.elements)))
+        # Element numbers follow sorted order, so this sorts by order, then
+        # by the sorted element tuple.
+        return (self.order, self.parent._index.members(self.mask))
 
 
 class _GroupIndex:
@@ -260,18 +269,18 @@ class _GroupIndex:
         # bin(mask)[:1:-1] lists the bits from the lowest up.
         return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
-    def mask_of(self, elements) -> int | None:
-        """The bitmask of a set of permutations, or None if one is not in G."""
-        mask = 0
-        for x in elements:
-            i = self._by_prefix.get(x[: self._prefix_length])
-            if i is None or self.elements[i] != x:
-                return None
-            mask |= 1 << i
-        return mask
+    def number(self, x: Perm) -> int:
+        """The number of the permutation x; InvalidInputError if x is not in G."""
+        i = self._by_prefix.get(x[: self._prefix_length])
+        if i is None or self.elements[i] != x:
+            raise InvalidInputError(f"{x} is not an element of the group")
+        return i
 
     def is_subgroup(self, mask: int) -> bool:
-        """Whether the subset contains the identity and is closed under products."""
+        """Whether the bitmask is a subset of G that contains the identity and
+        is closed under products."""
+        if mask <= 0 or mask >= 1 << self.order:
+            return False
         members = self.members(mask)
         closed = set(members)
         return self.identity in closed and all(
@@ -335,13 +344,7 @@ class _GroupIndex:
                         known[extended] = gens + [x]
                         nxt.append(extended)
             frontier = nxt
-        subs = [
-            Subgroup(
-                parent=self.group,
-                elements=frozenset(self.elements[i] for i in self.members(sub)),
-            )
-            for sub in known
-        ]
+        subs = [Subgroup(self.group, sub) for sub in known]
         subs.sort(key=Subgroup.sort_key)
         return tuple(subs)
 

@@ -145,6 +145,15 @@ class TestCover:
         assert code == 3
         assert "not tabulated" in err
 
+    @pytest.mark.parametrize("p", ["4", "1", "0", "-2"])
+    def test_non_prime_exit_2(self, capsys, p):
+        code, out, err = run(
+            capsys, "cover", "--p", p, "--min-val", "0", "--max-val", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not prime" in err
+
 
 class TestSweep:
     def test_small_sweep(self, capsys, tmp_path):

@@ -10,7 +10,11 @@ from semistab.cover import (
     enumerate_cover,
     locate,
 )
-from semistab.errors import NotTabulatedError, TheoremViolationError
+from semistab.errors import (
+    InvalidInputError,
+    NotTabulatedError,
+    TheoremViolationError,
+)
 from semistab.monodromy import (
     MonodromyGroup,
     phi_family_at_2,
@@ -76,6 +80,11 @@ class TestEnumerate:
     def test_untabulated_ranges(self, p, rng_pair):
         with pytest.raises(NotTabulatedError):
             enumerate_cover(p, rng_pair)
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -2, 9])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="not prime"):
+            enumerate_cover(p, (0, 1))
 
 
 class TestCoverProperties:

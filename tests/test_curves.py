@@ -126,6 +126,57 @@ class TestMinimalize:
             ) - 12 * steps
 
 
+def minimalize_by_steps(a4: Fraction, a6: Fraction, p: int):
+    """Independent oracle: divide (a4, a6) by (p^4, p^6) one step at a time
+    while v_p(c4) >= 4, v_p(c6) >= 6 and v_p(delta) >= 12."""
+    steps = 0
+    while True:
+        c4 = -48 * a4
+        c6 = -864 * a6
+        delta = -16 * (4 * a4**3 + 27 * a6**2)
+        if valuation(c4, p) < 4 or valuation(c6, p) < 6 or valuation(delta, p) < 12:
+            return a4, a6, steps
+        a4 /= p**4
+        a6 /= p**6
+        steps += 1
+
+
+def random_coefficient(rng, p: int, max_exponent: int) -> Fraction:
+    """Zero one time in ten, else a p-integral rational times p^k."""
+    if rng.random() < 0.1:
+        return Fraction(0)
+    den = rng.randint(1, 30)
+    while den % p == 0:
+        den = rng.randint(1, 30)
+    num = rng.randint(-30, 30) or 1
+    return Fraction(num, den) * p ** rng.randrange(0, max_exponent)
+
+
+class TestMinimalizeOracle:
+    def test_agrees_with_step_loop(self, rng):
+        checked = 0
+        for _ in range(3000):
+            p = rng.choice([5, 7, 11, 13])
+            a4, a6 = random_coefficient(rng, p, 17), random_coefficient(rng, p, 25)
+            try:
+                curve = WeierstrassCurve(0, 0, 0, a4, a6)
+            except SingularCurveError:
+                continue
+            minimal, steps = minimalize_at_p(curve, p)
+            assert (minimal.a4, minimal.a6, steps) == minimalize_by_steps(
+                curve.a4, curve.a6, p
+            )
+            checked += 1
+        assert checked > 2500
+
+    @pytest.mark.parametrize(
+        "a4, a6", [(Fraction(1, 5), 1), (1, Fraction(3, 25)), (0, Fraction(1, 5))]
+    )
+    def test_not_integral_rejected(self, a4, a6):
+        with pytest.raises(InvalidInputError, match="not integral at 5"):
+            minimalize_at_p(WeierstrassCurve(0, 0, 0, a4, a6), 5)
+
+
 class TestReductionClass:
     def test_family_good(self):
         assert reduction_class_at_p(family_curve(1), 5) == "good"

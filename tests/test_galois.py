@@ -45,6 +45,8 @@ EXPECTED_ORDERS = {
     "C2": 2, "C3": 3, "S3": 6, "C4": 4, "V4": 4, "D4": 8,
     "A4": 12, "S4": 24, "C6": 6, "D6": 12, "A5": 60,
 }
+# S5 (order 120, 156 subgroups).
+S5_COVER = FiniteCover(5, ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)))
 # S4 x C2 (order 48, 98 subgroups), acting on six points.
 S4XC2_COVER = FiniteCover(
     6, ((1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (2, 3, 0, 1, 4, 5))
@@ -360,7 +362,28 @@ class TestSubgroupEnumeration:
         deck = galois_closure(NAMED_COVERS["S3"]).deck_group
         some = next(x for x in deck.elements if perm_order(x) == 3)
         with pytest.raises(InvalidInputError):
-            Subgroup(parent=deck, elements=frozenset({some}))
+            Subgroup(parent=deck, mask=1 << deck.sorted_elements().index(some))
+
+    def test_bad_masks_rejected(self):
+        deck = galois_closure(NAMED_COVERS["S3"]).deck_group
+        some = next(x for x in deck.elements if perm_order(x) == 3)
+        identity_only = 1 << deck.sorted_elements().index(identity(6))
+        not_closed = identity_only | 1 << deck.sorted_elements().index(some)
+        full = (1 << deck.order) - 1
+        for mask in (0, -1, -full, 1 << deck.order, full | 1 << deck.order,
+                     not_closed):
+            with pytest.raises(InvalidInputError):
+                Subgroup(parent=deck, mask=mask)
+        assert Subgroup(parent=deck, mask=full).elements == deck.elements
+        assert Subgroup(parent=deck, mask=identity_only).order == 1
+
+    @pytest.mark.parametrize("name", ["S4xC2", "S5"])
+    def test_order_is_size_then_sorted_elements(self, name):
+        cover = S4XC2_COVER if name == "S4xC2" else S5_COVER
+        subs = enumerate_subgroups(galois_closure(cover).deck_group)
+        assert subs == sorted(
+            subs, key=lambda s: (len(s.elements), tuple(sorted(s.elements)))
+        )
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +469,45 @@ class TestIsomorphism:
         top = next(s for s in enumerate_subgroups(deck) if s.order == deck.order)
         assert isomorphic(deck, top) is True
         assert isomorphic(top, deck) is True
+
+    @pytest.mark.parametrize("name", ["D4", "S4"])
+    def test_conjugate_by_matches_compose(self, name):
+        deck = galois_closure(NAMED_COVERS[name]).deck_group
+        for sub in enumerate_subgroups(deck):
+            for g in deck.elements:
+                g_inv = inverse(g)
+                assert sub.conjugate_by(g).elements == frozenset(
+                    compose(compose(g, x), g_inv) for x in sub.elements
+                )
+
+    def test_conjugate_by_left_multiplication(self):
+        # Left multiplications commute with the deck group's right
+        # multiplications, so conjugating by one fixes every subgroup, also
+        # when it lies outside the (non-abelian) deck group.
+        closure = galois_closure(NAMED_COVERS["S3"])
+        deck = closure.deck_group
+        index = {t: j for j, t in enumerate(closure.orbit)}
+        lefts = [
+            tuple(index[compose(g, t)] for t in closure.orbit)
+            for g in sorted(closure.monodromy_group.elements)
+        ]
+        assert any(left not in deck for left in lefts)
+        for sub in enumerate_subgroups(deck):
+            for left in lefts:
+                assert sub.conjugate_by(left) == sub
+
+    def test_conjugate_outside_parent_rejected(self):
+        deck = galois_closure(NAMED_COVERS["S3"]).deck_group
+        two = next(s for s in enumerate_subgroups(deck) if s.order == 2)
+        g = next(
+            g for g in itertools.permutations(range(6))
+            if any(
+                compose(compose(g, x), inverse(g)) not in deck
+                for x in two.elements
+            )
+        )
+        with pytest.raises(InvalidInputError):
+            two.conjugate_by(g)
 
     def test_conjugates_are_isomorphic(self):
         deck = galois_closure(NAMED_COVERS["D4"]).deck_group

@@ -90,6 +90,83 @@ class TestPhiAt2:
             phi_family_at_2(s)
 
 
+def serre_tate_order_at_2(s: Fraction) -> int:
+    """|Phi_2| = e(sqrt(s)) * e(cbrt(4s)), from the 3-torsion field.
+
+    Serre-Tate: Phi_2 = Gal(Q_2^ur(E[3]) / Q_2^ur) = Gal(Q_2^ur(sqrt(s),
+    cbrt(4s)) / Q_2^ur). sqrt(s) is unramified iff v_2(s) is even and the
+    unit part is 1 mod 4; cbrt(4s) iff 3 divides v_2(4s) = 2 + v_2(s).
+    """
+    v = valuation(s, 2)
+    unit = s / Fraction(2) ** v
+    unit_mod_4 = unit.numerator * pow(unit.denominator, -1, 4) % 4
+    e_sqrt = 1 if v % 2 == 0 and unit_mod_4 == 1 else 2
+    e_cbrt = 1 if v % 3 == 1 else 3
+    return e_sqrt * e_cbrt
+
+
+def parameters_with_v2(rng, wanted):
+    """+-1..20000 with v_2 in wanted, then 2,000 rationals with odd
+    denominator and v_2 in wanted."""
+    values = [
+        Fraction(s)
+        for n in range(1, 20001)
+        for s in (n, -n)
+        if valuation(n, 2) in wanted
+    ]
+    for _ in range(2000):
+        den = 2 * rng.randint(0, 500) + 1
+        odd = 2 * rng.randint(-500, 500) + 1
+        values.append(Fraction(odd * 2 ** rng.choice(wanted), den))
+    return values
+
+
+class TestSerreTateAt2:
+    def test_table_agrees_for_v2_0_and_1(self, rng):
+        values = parameters_with_v2(rng, (0, 1))
+        assert len(values) == 32000
+        mismatches = [
+            s for s in values if phi_family_at_2(s).order != serre_tate_order_at_2(s)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="The v_2(s) = 2 row of the 2-adic table disagrees with "
+        "Serre-Tate. For s = 4: with pi^3 = 2, x = pi^4 X and y = pi^6 Y + 2 "
+        "give Y^2 + Y = X^3, which has good reduction, so Phi_2(E_4) = C3 and "
+        "d(E_4) = 12, not SL2(F3) and 24. The pinned values stay until the "
+        "table is replaced by the derivation.",
+    )
+    def test_table_agrees_for_v2_2(self, rng):
+        values = parameters_with_v2(rng, (2,))
+        mismatches = [
+            s for s in values if phi_family_at_2(s).order != serre_tate_order_at_2(s)
+        ]
+        assert mismatches == []
+
+
+class TestThreeIsogeny:
+    def test_s_and_minus_27s_agree(self, rng):
+        # y^2 = x^3 + s and y^2 = x^3 - 27 s are 3-isogenous, so their local
+        # monodromy groups agree at every prime.
+        values = [Fraction(n) for n in range(-3000, 3001) if n]
+        values += [
+            Fraction(rng.randint(-300, 300) or 1, rng.randint(1, 300))
+            for _ in range(1000)
+        ]
+        compared = {2: 0, 3: 0}
+        for s in values:
+            report, isogenous = family_report(s), family_report(-27 * s)
+            assert [e.p for e in report.locals] == [e.p for e in isogenous.locals]
+            for entry, other in zip(report.locals, isogenous.locals):
+                if entry.group is None or other.group is None:
+                    continue
+                assert entry.group is other.group, (s, entry.p)
+                compared[entry.p] = compared.get(entry.p, 0) + 1
+        assert compared[2] > 1000 and compared[3] > 1000
+
+
 class TestPhiTame:
     def test_family_order_formula(self):
         assert phi_tame(family_curve(5), 5) is G.C6
