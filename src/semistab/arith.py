@@ -163,15 +163,6 @@ def valuation(x: Rational, p: int) -> int | float:
     return v
 
 
-def unit_part(x: Rational, p: int) -> Fraction:
-    """x / p^v_p(x); a p-adic unit for nonzero x."""
-    x = Fraction(x)
-    if x == 0:
-        raise InvalidInputError("0 has no unit part")
-    v = valuation(x, p)
-    return x / Fraction(p) ** v
-
-
 def residue(x: Rational, modulus: int) -> int:
     """Image of a rational with denominator invertible mod modulus.
 

@@ -3,7 +3,8 @@
 The family's monodromy group at p is locally constant: the parameter line
 splits into disjoint p-adic balls (congruence classes center + p^k Z_p) on
 each of which the group is constant. This module enumerates those balls for
-the tabulated valuation strata and checks the covering properties.
+the valuation strata that have a row in monodromy.FAMILY_TABLES, one ball
+per entry of the row, and checks the covering properties.
 
 A ball is stored as (center, modulus_exponent k) with v_p(center) < k, so
 every element of center + p^k Z_p automatically shares the center's
@@ -28,13 +29,7 @@ from functools import cached_property
 
 from .arith import INFINITY, Rational, is_prime, residue, valuation
 from .errors import InvalidInputError, NotTabulatedError, TheoremViolationError
-from .monodromy import (
-    TABULATED_V2,
-    TABULATED_V3,
-    MonodromyGroup,
-    phi_family_at_2,
-    phi_family_at_3,
-)
+from .monodromy import FAMILY_TABLES, MonodromyGroup
 
 
 @dataclass(frozen=True)
@@ -96,38 +91,22 @@ class CoverReport:
         return exponents, by_center
 
 
-def _phi(p: int, s: Rational) -> MonodromyGroup:
-    return phi_family_at_2(s) if p == 2 else phi_family_at_3(s)
-
-
 def _stratum_balls(p: int, v: int) -> list[PadicBall]:
-    """All balls of the stratum v_p(s) = v, per the reduction tables.
-
-    The table condition on the stratum is a congruence of the unit part
-    s / p^v mod p^d (d = 2 at both primes where a congruence is needed,
-    d = 1 where the group is constant on the whole stratum), giving balls
-    of modulus exponent v + d.
-    """
-    depth = 1
-    if (p == 3 and v in (0, 3)) or (p == 2 and v in (0, 2)):
-        depth = 2
-    balls = []
-    for u in range(1, p**depth):
-        if u % p == 0:
-            continue
-        center = u * p**v
-        group = _phi(p, Fraction(center))
-        balls.append(
-            PadicBall(p=p, center=center, modulus_exponent=v + depth, group=group)
-        )
-    return balls
+    """The balls u * p^v + p^(v + d) Z_p of the row FAMILY_TABLES[p][v] =
+    (d, {u: group}), one per entry."""
+    d, groups = FAMILY_TABLES[p][v]
+    return [
+        PadicBall(p=p, center=u * p**v, modulus_exponent=v + d, group=group)
+        for u, group in groups.items()
+    ]
 
 
 def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     """Disjoint-ball decomposition of the strata v_p(s) in the given range.
 
-    Only the tabulated strata are available: 0..4 at p = 3, 0..2 at p = 2;
-    a p that is not prime is invalid input, refused before any table lookup.
+    Only the strata with a row in FAMILY_TABLES[p] are available: 0..4 at
+    p = 3, 0..2 at p = 2; a p that is not prime is invalid input, refused
+    before any table lookup.
     Disjointness and exact coverage of each stratum are asserted before the
     report is returned.
     """
@@ -136,12 +115,12 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     lo, hi = valuation_range
     if lo > hi:
         raise NotTabulatedError("empty valuation range")
-    tabulated = TABULATED_V2 if p == 2 else TABULATED_V3 if p == 3 else None
-    if tabulated is None:
+    if p not in FAMILY_TABLES:
         raise NotTabulatedError(f"no reduction tables at p = {p}")
-    if lo not in tabulated or hi not in tabulated:
+    top = len(FAMILY_TABLES[p]) - 1
+    if lo < 0 or hi > top:
         raise NotTabulatedError(
-            f"valuation range {lo}..{hi} outside tabulated {tabulated}"
+            f"valuation range {lo}..{hi} outside tabulated 0..{top}"
         )
     balls: list[PadicBall] = []
     for v in range(lo, hi + 1):

@@ -5,11 +5,12 @@ extension of the maximal unramified local field over which the curve becomes
 semi-stable; its order always divides 24. The semi-stability degree d(E) is
 the lcm of these orders over all bad primes of the minimal model.
 
-At p = 2 and p = 3 the groups come from the reduction tables for the
-family, valid only in small valuation ranges of s; outside those ranges we
-refuse (NotTabulatedError) rather than extrapolate. At p >= 5 reduction is
-tame (Serre-Tate) and the group follows from the valuation of the minimal
-discriminant.
+At p = 2 and p = 3 the groups come from the family's reduction tables,
+stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
+without a row is refused (NotTabulatedError) rather than extrapolated. The
+p-adic ball covers in the cover module read the same rows. At p >= 5
+reduction is tame (Serre-Tate) and the group follows from the valuation of
+the minimal discriminant.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, factorize, lcm_all, residue, unit_part, valuation
+from .arith import Rational, factorize, lcm_all, residue, valuation
 from .curves import (
     WeierstrassCurve,
     compute_invariants,
@@ -40,11 +41,6 @@ from .errors import (
     TheoremViolationError,
     UnsupportedPrimeError,
 )
-
-#: Valuation ranges of s covered by the reduction tables at 2 and 3.
-TABULATED_V2 = range(0, 3)
-TABULATED_V3 = range(0, 5)
-
 
 class MonodromyGroup(enum.Enum):
     """The finite groups arising as local monodromy of the family."""
@@ -68,6 +64,35 @@ _CYCLIC_BY_ORDER = {
     3: MonodromyGroup.C3,
     4: MonodromyGroup.C4,
     6: MonodromyGroup.C6,
+}
+
+_C4_OR_DIC3_MOD_9 = {
+    1: MonodromyGroup.C4,
+    8: MonodromyGroup.C4,
+    2: MonodromyGroup.DIC3,
+    4: MonodromyGroup.DIC3,
+    5: MonodromyGroup.DIC3,
+    7: MonodromyGroup.DIC3,
+}
+_DIC3_MOD_3 = {1: MonodromyGroup.DIC3, 2: MonodromyGroup.DIC3}
+
+#: The reduction tables of y^2 = x^3 + s at 2 and 3. Row v of FAMILY_TABLES[p]
+#: covers the stratum v_p(s) = v and is (d, {u: group}): the group of s is
+#: read off u = s / p^v mod p^d, so the stratum splits into the p-adic balls
+#: u * p^v + p^(v + d) Z_p, one per entry. A stratum without a row is refused.
+FAMILY_TABLES: dict[int, tuple[tuple[int, dict[int, MonodromyGroup]], ...]] = {
+    2: (
+        (2, {1: MonodromyGroup.C3, 3: MonodromyGroup.C6}),
+        (1, {1: MonodromyGroup.C2}),
+        (2, {1: MonodromyGroup.SL2F3, 3: MonodromyGroup.C3}),
+    ),
+    3: (
+        (2, _C4_OR_DIC3_MOD_9),
+        (1, _DIC3_MOD_3),
+        (1, _DIC3_MOD_3),
+        (2, _C4_OR_DIC3_MOD_9),
+        (1, _DIC3_MOD_3),
+    ),
 }
 
 
@@ -115,6 +140,25 @@ class DegreeReport:
         return None
 
 
+def _family_group(p: int, s: Rational) -> MonodromyGroup:
+    """The group of y^2 = x^3 + s at p in {2, 3}, read off FAMILY_TABLES.
+
+    With v = v_p(s) and row v = (d, groups), s = p^v * u gives
+    s mod p^(v + d) = p^v * (u mod p^d), so the unit part is never built.
+    """
+    s = Fraction(s)
+    if s == 0:
+        raise SingularCurveError("s = 0")
+    v = valuation(s, p)
+    rows = FAMILY_TABLES[p]
+    if not 0 <= v < len(rows):
+        raise NotTabulatedError(
+            f"v{p}(s) = {v} outside tabulated range 0..{len(rows) - 1}"
+        )
+    d, groups = rows[v]
+    return groups[residue(s, p ** (v + d)) // p**v]
+
+
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
     """Monodromy group at 3 of y^2 = x^3 + s, for v3(s) in {0..4}.
 
@@ -122,26 +166,7 @@ def phi_family_at_3(s: Rational) -> MonodromyGroup:
     v3(s) = 3, s = 27u: C4 when u = +-1 mod 9, else Dic3. Congruences of a
     rational unit are taken on its image in the 3-adic units mod 9.
     """
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0")
-    v = valuation(s, 3)
-    if v not in TABULATED_V3:
-        raise NotTabulatedError(f"v3(s) = {v} outside tabulated range 0..4")
-    if v == 0:
-        return (
-            MonodromyGroup.C4
-            if residue(s, 9) in (1, 8)
-            else MonodromyGroup.DIC3
-        )
-    if v == 3:
-        u = unit_part(s, 3)
-        return (
-            MonodromyGroup.C4
-            if residue(u, 9) in (1, 8)
-            else MonodromyGroup.DIC3
-        )
-    return MonodromyGroup.DIC3
+    return _family_group(3, s)
 
 
 def phi_family_at_2(s: Rational) -> MonodromyGroup:
@@ -150,22 +175,7 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     v2(s) = 0: C3 when s = 1 mod 4, else C6. v2(s) = 1: C2. v2(s) = 2:
     C3 when s/4 = -1 mod 4, else SL2(F3).
     """
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0")
-    v = valuation(s, 2)
-    if v not in TABULATED_V2:
-        raise NotTabulatedError(f"v2(s) = {v} outside tabulated range 0..2")
-    if v == 0:
-        return (
-            MonodromyGroup.C3 if residue(s, 4) == 1 else MonodromyGroup.C6
-        )
-    if v == 1:
-        return MonodromyGroup.C2
-    u = unit_part(s, 2)
-    return (
-        MonodromyGroup.C3 if residue(u, 4) == 3 else MonodromyGroup.SL2F3
-    )
+    return _family_group(2, s)
 
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
@@ -192,19 +202,6 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     return _CYCLIC_BY_ORDER[e]
 
 
-def _phi_family_tame(s: Fraction, p: int) -> MonodromyGroup:
-    """Closed form of the tame rule for the family: order 6/gcd(v_p(s), 6).
-
-    Equivalent to minimalizing y^2 = x^3 + s at p (rescaling s by a 6th
-    power of p, which also covers negative valuations) and applying phi_tame:
-    v_p of the minimal discriminant is 2 * (v_p(s) mod 6).
-    """
-    k = int(valuation(s, p)) % 6
-    if k == 0:
-        return MonodromyGroup.C1
-    return _CYCLIC_BY_ORDER[6 // math.gcd(k, 6)]
-
-
 def bad_primes(s: Fraction) -> list[int]:
     """Primes of bad reduction of the minimal model of y^2 = x^3 + s.
 
@@ -224,12 +221,18 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
 
 def _phi_family(s: Fraction, p: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p: the tables at 2 and 3, the
-    closed-form tame rule at p >= 5."""
+    closed-form tame rule at p >= 5: order 6 / gcd(v_p(s), 6), which is
+    phi_tame on the model minimalized at p (s rescaled by a 6th power of p,
+    negative valuations too), whose v_p(delta_min) is 2 * (v_p(s) mod 6)."""
     if p == 2:
         return LocalMonodromyResult(2, phi_family_at_2(s), "family-table-2")
     if p == 3:
         return LocalMonodromyResult(3, phi_family_at_3(s), "family-table-3")
-    return _tame_result(p, _phi_family_tame(s, p))
+    return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(int(valuation(s, p)), 6)])
+
+
+def _coefficients(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
+    return (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
@@ -237,12 +240,17 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
 
     Family-form curves take the family's route. Otherwise, for p >= 5 the
     curve is minimalized and the tame rule applies; at 2 and 3 it is only
-    resolved when the given model has good reduction there.
+    resolved when the given model is integral at p (else InvalidInputError)
+    and has good reduction there.
     """
     if curve.is_family_form():
         return _phi_family(curve.a6, p)
     if p >= 5:
         return _tame_result(p, phi_tame(minimalize_at_p(curve, p)[0], p))
+    if any(valuation(a, p) < 0 for a in _coefficients(curve)):
+        raise InvalidInputError(
+            f"curve is not integral at {p}; clear denominators first"
+        )
     if valuation(compute_invariants(curve).delta, p) == 0:
         return LocalMonodromyResult(
             p=p, group=MonodromyGroup.C1, provenance="good-reduction"
@@ -289,15 +297,16 @@ def family_report(s: Rational) -> DegreeReport:
 def curve_report(curve: WeierstrassCurve) -> DegreeReport:
     """Local monodromy of a curve at its primes of nontrivial monodromy.
 
-    Family-form curves take family_report. Any other curve must be integral;
-    the primes dividing its discriminant are tried and those with trivial
-    monodromy (good or multiplicative reduction) are left out.
+    Family-form curves take family_report. Any other curve must have
+    integral coefficients (else InvalidInputError); the primes dividing its
+    discriminant are tried and those with trivial monodromy (good or
+    multiplicative reduction) are left out.
     """
     if curve.is_family_form():
         return family_report(curve.a6)
-    delta = compute_invariants(curve).delta
-    if delta.denominator != 1:
+    if any(a.denominator != 1 for a in _coefficients(curve)):
         raise InvalidInputError("general mode requires an integral model")
+    delta = compute_invariants(curve).delta
     results = [
         _or_refusal(phi_general_curve, curve, p)
         for p in sorted(factorize(delta.numerator))

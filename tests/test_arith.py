@@ -13,7 +13,6 @@ from semistab.arith import (
     parse_rational,
     primes_up_to,
     residue,
-    unit_part,
     valuation,
 )
 from semistab.errors import InvalidInputError
@@ -151,12 +150,6 @@ class TestValuation:
     def test_nonprime_rejected(self):
         with pytest.raises(InvalidInputError):
             valuation(12, 6)
-
-    def test_unit_part(self):
-        assert unit_part(Fraction(12, 5), 2) == Fraction(3, 5)
-        assert valuation(unit_part(Fraction(-54, 7), 3), 3) == 0
-        with pytest.raises(InvalidInputError):
-            unit_part(0, 2)
 
     @given(
         x=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),

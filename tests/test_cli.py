@@ -105,6 +105,13 @@ class TestCurve:
         assert code == 0
         assert "degree d(E) = 12" in out
 
+    def test_non_integral_model_is_invalid(self, capsys):
+        # delta = -433 is integral, the coefficient 1/4 is not
+        code, out, err = run(capsys, "curve", "--a", "0,0,0,1/4,1", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bad_coefficient_count(self, capsys):
         code, _, _ = run(capsys, "curve", "--a", "1,2,3")
         assert code == 2
@@ -144,6 +151,16 @@ class TestCover:
         )
         assert code == 3
         assert "not tabulated" in err
+
+    def test_untabulated_range_text(self, capsys):
+        code, out, err = run(
+            capsys, "cover", "--p", "2", "--min-val", "-1", "--max-val", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "not tabulated: valuation range -1..1 outside tabulated 0..2\n"
+        )
 
     @pytest.mark.parametrize("p", ["4", "1", "0", "-2"])
     def test_non_prime_exit_2(self, capsys, p):

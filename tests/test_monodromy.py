@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from semistab.arith import lcm_all, valuation
+from semistab.arith import lcm_all, residue, valuation
 from semistab.curves import (
     WeierstrassCurve,
+    compute_invariants,
     family_curve,
     minimalize_at_p,
     reduction_class_at_p,
 )
 from semistab.errors import (
+    InvalidInputError,
     NotTabulatedError,
     SingularCurveError,
     UnsupportedPrimeError,
@@ -88,6 +90,75 @@ class TestPhiAt2:
     def test_untabulated_valuations(self, s):
         with pytest.raises(NotTabulatedError):
             phi_family_at_2(s)
+
+    def test_singular(self):
+        with pytest.raises(SingularCurveError):
+            phi_family_at_2(0)
+
+
+def branch_table_at_3(s: Fraction) -> MonodromyGroup:
+    """The 3-adic reduction table as the branches phi_family_at_3 held
+    before FAMILY_TABLES; an oracle for the table's rows."""
+    v = valuation(s, 3)
+    if v not in range(0, 5):
+        raise NotTabulatedError(f"v3(s) = {v} outside tabulated range 0..4")
+    if v == 0:
+        return G.C4 if residue(s, 9) in (1, 8) else G.DIC3
+    if v == 3:
+        u = s / Fraction(3) ** v
+        return G.C4 if residue(u, 9) in (1, 8) else G.DIC3
+    return G.DIC3
+
+
+def branch_table_at_2(s: Fraction) -> MonodromyGroup:
+    """The 2-adic reduction table as the branches phi_family_at_2 held
+    before FAMILY_TABLES; an oracle for the table's rows."""
+    v = valuation(s, 2)
+    if v not in range(0, 3):
+        raise NotTabulatedError(f"v2(s) = {v} outside tabulated range 0..2")
+    if v == 0:
+        return G.C3 if residue(s, 4) == 1 else G.C6
+    if v == 1:
+        return G.C2
+    u = s / Fraction(2) ** v
+    return G.C3 if residue(u, 4) == 3 else G.SL2F3
+
+
+def group_or_refusal(phi, s):
+    try:
+        return phi(s)
+    except NotTabulatedError as exc:
+        return str(exc)
+
+
+def _coprime_to_6(rng) -> int:
+    while True:
+        n = rng.randint(1, 10**4)
+        if n % 2 and n % 3:
+            return n
+
+
+class TestFamilyTablesMatchBranches:
+    def test_integers_and_rationals(self, rng):
+        values = [Fraction(s) for n in range(1, 20001) for s in (n, -n)]
+        for _ in range(4000):
+            sign = rng.choice((1, -1))
+            unit = Fraction(sign * _coprime_to_6(rng), _coprime_to_6(rng))
+            values.append(
+                unit
+                * Fraction(2) ** rng.randint(-14, 14)
+                * Fraction(3) ** rng.randint(-8, 8)
+            )
+        mismatches = [
+            s
+            for s in values
+            for phi, oracle in (
+                (phi_family_at_2, branch_table_at_2),
+                (phi_family_at_3, branch_table_at_3),
+            )
+            if group_or_refusal(phi, s) != group_or_refusal(oracle, s)
+        ]
+        assert mismatches == []
 
 
 def serre_tate_order_at_2(s: Fraction) -> int:
@@ -307,6 +378,14 @@ class TestReports:
     def test_curve_report_family_form(self):
         assert curve_report(family_curve(4)) == family_report(4)
 
+    def test_curve_report_refuses_non_integral_model(self):
+        # delta = -433 is an integer, but the integral model y^2 = x^3 + 4x + 64
+        # has v_2(delta) = 12 and no integral model is good at 2 (Kraus).
+        curve = WeierstrassCurve(0, 0, 0, Fraction(1, 4), 1)
+        assert compute_invariants(curve).delta == -433
+        with pytest.raises(InvalidInputError, match="integral model"):
+            curve_report(curve)
+
 
 class TestPhiGeneralCurve:
     def test_tame_good(self):
@@ -325,6 +404,17 @@ class TestPhiGeneralCurve:
         curve = WeierstrassCurve(0, 0, 0, -1, 0)  # delta = 64
         with pytest.raises(NotTabulatedError):
             phi_general_curve(curve, 2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_non_integral_at_p_refused(self, p):
+        curve = WeierstrassCurve(0, 0, 0, Fraction(1, p**2), 1)
+        with pytest.raises(InvalidInputError, match=f"not integral at {p}"):
+            phi_general_curve(curve, p)
+
+    def test_non_integral_elsewhere_still_resolved(self):
+        # integral at 3 with v_3(delta) = v_3(-433) = 0: good reduction there
+        curve = WeierstrassCurve(0, 0, 0, Fraction(1, 4), 1)
+        assert phi_general_curve(curve, 3).group is G.C1
 
     def test_tame_provenance(self):
         result = phi_general_curve(family_curve(5), 5)

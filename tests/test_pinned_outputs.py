@@ -1,5 +1,7 @@
 """Byte-exact CLI outputs, recorded before the family pipeline moved into
-the monodromy module; any change to these bytes is a change of behaviour."""
+the monodromy module (curve, sweep) and before the reduction tables at 2 and
+3 moved into FAMILY_TABLES (cover); any change to these bytes is a change of
+behaviour."""
 
 from pathlib import Path
 
@@ -101,3 +103,20 @@ def test_sweep_jsonl_and_summary(capsys, tmp_path):
         '"24": 6, "not-tabulated": 11}, "records": 91}\n'
     )
     assert out_file.read_bytes() == (GOLDEN / "sweep_-30_60.jsonl").read_bytes()
+
+
+COVER_GOLDEN = {
+    ("cover", "--p", "2", "--min-val", "0", "--max-val", "2", "--format", "json"):
+        "cover_p2_0_2.json",
+    ("cover", "--p", "3", "--min-val", "0", "--max-val", "4", "--format", "json"):
+        "cover_p3_0_4.json",
+    ("--plain", "cover", "--p", "3", "--min-val", "1", "--max-val", "3"):
+        "cover_p3_1_3.tsv",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COVER_GOLDEN), ids=lambda a: " ".join(a))
+def test_cover_outputs(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / COVER_GOLDEN[argv]).read_bytes()
