@@ -105,8 +105,8 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     """Disjoint-ball decomposition of the strata v_p(s) in the given range.
 
     Only the strata with a row in FAMILY_TABLES[p] are available: 0..4 at
-    p = 3, 0..2 at p = 2; a p that is not prime is invalid input, refused
-    before any table lookup.
+    p = 3, 0..2 at p = 2; a p that is not prime and an empty range (min >
+    max) are invalid input, refused before any table lookup.
     Disjointness and exact coverage of each stratum are asserted before the
     report is returned.
     """
@@ -114,7 +114,7 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
         raise InvalidInputError(f"{p} is not prime")
     lo, hi = valuation_range
     if lo > hi:
-        raise NotTabulatedError("empty valuation range")
+        raise InvalidInputError(f"empty valuation range {lo}..{hi}")
     if p not in FAMILY_TABLES:
         raise NotTabulatedError(f"no reduction tables at p = {p}")
     top = len(FAMILY_TABLES[p]) - 1

@@ -256,6 +256,11 @@ class _GroupIndex:
         self._by_prefix = by_prefix
         self._prefix_length = k
         self._conjugates: dict[int, tuple[int, ...]] = {}
+        # subgroup bitmask -> the number of its isomorphism class
+        self._classes: dict[int, int] = {}
+        # order -> the classes of that order, as (number, representative's
+        # element numbers)
+        self._class_reps: dict[int, list[tuple[int, list[int]]]] = {}
 
     @staticmethod
     def mask(members) -> int:
@@ -322,6 +327,33 @@ class _GroupIndex:
                 distinct.add(self.mask(table[x][g_inv] for x in coset))
             found = self._conjugates[mask] = tuple(sorted(distinct))
         return found
+
+    def isomorphism_class(self, mask: int) -> int:
+        """The number of the subgroup's isomorphism class: the bitmask of the
+        first subgroup of that class asked about. Two subgroups are
+        isomorphic exactly when their numbers are equal.
+
+        Computed on first request, by comparing the subgroup only with the
+        earlier class representatives of the same order: element orders,
+        abelianness, then the generator-mapping search (_isomorphic_indexed).
+        """
+        number = self._classes.get(mask)
+        if number is None:
+            members = self.members(mask)
+            reps = self._class_reps.setdefault(len(members), [])
+            number = next(
+                (
+                    rep
+                    for rep, rep_members in reps
+                    if _isomorphic_indexed((self, members), (self, rep_members))
+                ),
+                None,
+            )
+            if number is None:
+                number = mask
+                reps.append((mask, members))
+            self._classes[mask] = number
+        return number
 
     @functools.cached_property
     def subgroups(self) -> "tuple[Subgroup, ...]":
@@ -515,21 +547,30 @@ def fixed_point_check(closure: GaloisClosure, H: Subgroup, I: Subgroup) -> bool:
 def isomorphic(a: Subgroup | PermutationGroup, b: Subgroup | PermutationGroup) -> bool:
     """Abstract-group isomorphism test for small groups.
 
-    Cheap invariants first (order, element-order multiset, abelianness);
-    a backtracking generator-mapping search settles the remaining cases.
+    Two subgroups of the same group object compare their class numbers
+    (_GroupIndex.isomorphism_class). Otherwise: cheap invariants first
+    (order, element-order multiset, abelianness); a backtracking
+    generator-mapping search settles the remaining cases.
     """
     if a.order != b.order:
         return False
-    indexed_a, indexed_b = _indexed(a), _indexed(b)
-    if _element_orders(indexed_a) != _element_orders(indexed_b):
+    if isinstance(a, Subgroup) and isinstance(b, Subgroup) and a.parent is b.parent:
+        index = a.parent._index
+        return index.isomorphism_class(a.mask) == index.isomorphism_class(b.mask)
+    return _isomorphic_indexed(_indexed(a), _indexed(b))
+
+
+def _isomorphic_indexed(
+    a: tuple[_GroupIndex, list[int]], b: tuple[_GroupIndex, list[int]]
+) -> bool:
+    """isomorphic() on the element numbers of two groups of equal order."""
+    if _element_orders(a) != _element_orders(b):
         return False
-    abelian = _is_abelian(indexed_a)
-    if abelian != _is_abelian(indexed_b):
+    abelian = _is_abelian(a)
+    if abelian != _is_abelian(b):
         return False
-    if abelian:
-        # Finite abelian groups are determined by their element orders.
-        return True
-    return _generator_mapping_search(indexed_a, indexed_b)
+    # Finite abelian groups are determined by their element orders.
+    return abelian or _generator_mapping_search(a, b)
 
 
 def _element_orders(group: tuple[_GroupIndex, list[int]]) -> list[int]:
@@ -595,6 +636,20 @@ def _generator_mapping_search(
     )
 
 
+def _point_cells(deck: PermutationGroup, I: Subgroup) -> list[Subgroup]:
+    """Route (b)'s cells for I, in enumerate_subgroups order: the minimal
+    subgroups that contain a conjugate of I (see classify_point)."""
+    conjugates = deck._index.conjugates(I.mask)
+    cells: list[Subgroup] = []
+    for H in enumerate_subgroups(deck):
+        outside = ~H.mask
+        if any(c & outside == 0 for c in conjugates) and not any(
+            cell.mask & outside == 0 for cell in cells
+        ):
+            cells.append(H)
+    return cells
+
+
 def classify_point(
     closure: GaloisClosure,
     I: Subgroup,
@@ -605,7 +660,13 @@ def classify_point(
     Route (a) matches I against the representatives directly. Route (b)
     replays the covering construction: I belongs to the cell of the
     subgroup H whose subcover has a rational point while no proper
-    subgroup's does. The two routes must agree; disagreement raises.
+    subgroup's does. H has a point when I lies in a conjugate of H, that is,
+    when a conjugate of I lies in H (I <= gHg^-1 iff g^-1 I g <= H), so the
+    conjugates of I are read once. Walking the subgroups in ascending order,
+    a subgroup with a point is a cell unless it contains a cell found
+    earlier: its proper subgroups sort before it, and each subgroup with a
+    point contains a minimal one. The two routes must agree; disagreement
+    raises.
     """
     deck = closure.deck_group
     if I.parent != deck or any(h.parent != deck for h in class_reps):
@@ -618,16 +679,7 @@ def classify_point(
         )
     direct = direct_matches[0]
 
-    with_point = [
-        H for H in enumerate_subgroups(deck) if fixed_point_check(closure, H, I)
-    ]
-    cells = [
-        H
-        for H in with_point
-        if not any(
-            G.mask != H.mask and G.mask | H.mask == H.mask for G in with_point
-        )
-    ]
+    cells = _point_cells(deck, I)
     if not cells:
         raise TheoremViolationError("no cell contains I")
     via_cover = {

@@ -87,6 +87,11 @@ class TestCurve:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("coeffs", ["0,0,0,0,0", "0,0,0,-3/4,1/4"])
+    def test_singular_model_in_input_form(self, capsys, coeffs):
+        code, out, err = run(capsys, "curve", "--a", coeffs)
+        assert (code, out, err) == (2, "", f"error: singular curve: {coeffs}\n")
+
     def test_general_curve(self, capsys):
         code, out, _ = run(
             capsys, "curve", "--a", "0,0,0,-1,0", "--json"
@@ -161,6 +166,13 @@ class TestCover:
         assert err == (
             "not tabulated: valuation range -1..1 outside tabulated 0..2\n"
         )
+
+    @pytest.mark.parametrize("p", ["2", "5"])
+    def test_reversed_range_exit_2(self, capsys, p):
+        code, out, err = run(
+            capsys, "cover", "--p", p, "--min-val", "2", "--max-val", "1"
+        )
+        assert (code, out, err) == (2, "", "error: empty valuation range 2..1\n")
 
     @pytest.mark.parametrize("p", ["4", "1", "0", "-2"])
     def test_non_prime_exit_2(self, capsys, p):

@@ -74,12 +74,16 @@ class TestEnumerate:
         keys = [(b.stratum, b.center) for b in reports[3].balls]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize(
-        "p,rng_pair", [(5, (0, 1)), (2, (0, 3)), (3, (0, 5)), (3, (2, 1))]
-    )
+    @pytest.mark.parametrize("p,rng_pair", [(5, (0, 1)), (2, (0, 3)), (3, (0, 5))])
     def test_untabulated_ranges(self, p, rng_pair):
         with pytest.raises(NotTabulatedError):
             enumerate_cover(p, rng_pair)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_reversed_range_invalid(self, p):
+        # An empty range is invalid input at every prime, tabulated or not.
+        with pytest.raises(InvalidInputError, match=r"^empty valuation range 2\.\.1$"):
+            enumerate_cover(p, (2, 1))
 
     @pytest.mark.parametrize("p", [4, 1, 0, -2, 9])
     def test_non_prime_rejected(self, p):

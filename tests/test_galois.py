@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,8 +13,14 @@ from semistab.errors import (
 )
 from semistab.galois import (
     FiniteCover,
+    GaloisClosure,
     PermutationGroup,
     Subgroup,
+    _element_orders,
+    _generator_mapping_search,
+    _indexed,
+    _is_abelian,
+    _point_cells,
     classify_point,
     compose,
     enumerate_subgroups,
@@ -90,6 +97,22 @@ PINNED_LATTICE_JSON = {
         '"subgroup_count": 98}' "\n"
     ),
 }
+# The same for S5, `--gens '(1 2);(1 2 3 4 5)'`, recorded before isomorphism
+# classes were numbered per subgroup and route (b) moved to the conjugates
+# of I.
+PINNED_S5_JSON = (
+    '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, "subgroups": '
+    '25}, {"order": 3, "subgroups": 10}, {"order": 4, "subgroups": 20}, '
+    '{"order": 4, "subgroups": 15}, {"order": 5, "subgroups": 6}, {"order": '
+    '6, "subgroups": 20}, {"order": 6, "subgroups": 10}, {"order": 8, '
+    '"subgroups": 15}, {"order": 10, "subgroups": 6}, {"order": 12, '
+    '"subgroups": 10}, {"order": 12, "subgroups": 5}, {"order": 20, '
+    '"subgroups": 6}, {"order": 24, "subgroups": 5}, {"order": 60, '
+    '"subgroups": 1}, {"order": 120, "subgroups": 1}], '
+    '"classified_subgroups": 156, "deck_group_order": 120, "degree": 5, '
+    '"generators": ["(1 2)", "(1 2 3 4 5)"], "orbit_size": 120, '
+    '"subgroup_count": 156}' "\n"
+)
 
 
 def coset_fixed_point_oracle(deck: PermutationGroup, H: Subgroup, I: Subgroup):
@@ -162,6 +185,58 @@ def random_transitive_cover(rng, max_degree=6) -> FiniteCover:
             return FiniteCover(n, tuple(gens))
         except DisconnectedCoverError:
             continue
+
+
+def relabelled(cover: FiniteCover, seed: int) -> FiniteCover:
+    """The cover with its fiber points renamed by a seeded permutation."""
+    perm = list(range(cover.degree))
+    random.Random(seed).shuffle(perm)
+    renamed = []
+    for g in cover.generators:
+        image = [0] * cover.degree
+        for i, gi in enumerate(g):
+            image[perm[i]] = perm[gi]
+        renamed.append(tuple(image))
+    return FiniteCover(cover.degree, tuple(renamed))
+
+
+def uncached_isomorphic(a, b) -> bool:
+    """The isomorphism test without class numbers: invariants, then the
+    generator-mapping search, on the groups' own indexed elements."""
+    if a.order != b.order:
+        return False
+    indexed_a, indexed_b = _indexed(a), _indexed(b)
+    if _element_orders(indexed_a) != _element_orders(indexed_b):
+        return False
+    abelian = _is_abelian(indexed_a)
+    if abelian != _is_abelian(indexed_b):
+        return False
+    return abelian or _generator_mapping_search(indexed_a, indexed_b)
+
+
+def all_pairs_cells(closure: GaloisClosure, I: Subgroup) -> list[Subgroup]:
+    """Route (b)'s cells found the direct way: every subgroup H with
+    fixed_point_check(H, I), then those with no proper subgroup in the list."""
+    with_point = [
+        H
+        for H in enumerate_subgroups(closure.deck_group)
+        if fixed_point_check(closure, H, I)
+    ]
+    return [
+        H
+        for H in with_point
+        if not any(
+            G.mask != H.mask and G.mask | H.mask == H.mask for G in with_point
+        )
+    ]
+
+
+# The groups whose every subgroup pair is checked against the direct tests.
+LATTICE_COVERS = {
+    "S4": NAMED_COVERS["S4"],
+    "A5": NAMED_COVERS["A5"],
+    "S4xC2": S4XC2_COVER,
+}
 
 
 class TestPermutationBasics:
@@ -561,6 +636,56 @@ class TestClassifyPoint:
             classify_point(closure, trivial, [])
 
 
+class TestMaskClassification:
+    """The bitmask forms of route (b) and of `isomorphic`, checked on every
+    subgroup pair against the direct tests."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(LATTICE_COVERS))
+    def test_point_from_conjugates_of_I(self, name, seed):
+        # I lies in a conjugate of H exactly when a conjugate of I lies in H.
+        closure = galois_closure(relabelled(LATTICE_COVERS[name], seed))
+        deck = closure.deck_group
+        subs = enumerate_subgroups(deck)
+        for I in subs:
+            conjugates = deck._index.conjugates(I.mask)
+            for H in subs:
+                assert any(c & ~H.mask == 0 for c in conjugates) == (
+                    fixed_point_check(closure, H, I)
+                )
+
+    @pytest.mark.parametrize(
+        "name", sorted(LATTICE_COVERS.keys() | NAMED_COVERS.keys())
+    )
+    def test_cells_match_all_pairs_filter(self, name):
+        closure = galois_closure(LATTICE_COVERS.get(name) or NAMED_COVERS[name])
+        for I in enumerate_subgroups(closure.deck_group):
+            assert _point_cells(closure.deck_group, I) == all_pairs_cells(
+                closure, I
+            )
+
+    @pytest.mark.parametrize("name", ["A5", "S4xC2"])
+    def test_isomorphic_matches_uncached(self, name):
+        subs = enumerate_subgroups(galois_closure(LATTICE_COVERS[name]).deck_group)
+        for a, b in itertools.product(subs, repeat=2):
+            assert isomorphic(a, b) == uncached_isomorphic(a, b)
+
+    def test_equal_but_distinct_decks(self):
+        first = galois_closure(NAMED_COVERS["S4"]).deck_group
+        second = galois_closure(NAMED_COVERS["S4"]).deck_group
+        assert first == second and first is not second
+        subs_first, subs_second = (
+            enumerate_subgroups(first), enumerate_subgroups(second)
+        )
+        # Number the classes of one parent before mixing the two.
+        assert [isomorphic(a, a) for a in subs_first] == [True] * len(subs_first)
+        for a, (j, b) in itertools.product(subs_first, enumerate(subs_second)):
+            expected = uncached_isomorphic(a, b)
+            assert isomorphic(a, b) == isomorphic(b, a) == expected
+            # b's twin in the first group is compared by class numbers.
+            assert isomorphic(a, subs_first[j]) == expected
+
+
 class TestGaloisCommand:
     @pytest.mark.parametrize("degree, gens", sorted(PINNED_LATTICE_JSON))
     def test_check_all_stdout_pinned(self, capsys, degree, gens):
@@ -574,6 +699,8 @@ class TestGaloisCommand:
             "--check-all", "--json",
         ]
         assert main(argv) == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == PINNED_S5_JSON
+        data = json.loads(out)
         assert data["deck_group_order"] == 120
         assert data["subgroup_count"] == data["classified_subgroups"] == 156
