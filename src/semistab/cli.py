@@ -1,7 +1,8 @@
 """Command-line interface: minkowski, curve, cover, sweep, galois, verify.
 
-Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 not-tabulated
-(the input is valid but outside the reduction tables' valuation ranges),
+Exit codes: 0 ok, 1 verification failure, 2 invalid input (also input over
+a size limit: SizeLimitError), 3 not-tabulated (the input is valid but
+outside the reduction tables' valuation ranges),
 4 internal error (a built-in cross-check failed; a bug, never expected),
 141 stdout closed early by its reader (e.g. piped into `head`; no traceback).
 All data output is deterministic for fixed flags; the only non-data line is
@@ -98,7 +99,7 @@ def general_report_data(curve: WeierstrassCurve) -> tuple[dict, int]:
     only when every prime resolves. divides_minkowski is given for family
     members only (the library refuses a degree that does not divide 24).
     """
-    delta = compute_invariants(curve).delta
+    delta = curve.invariants.delta
     report = curve_report(curve)
     degree = report.degree
     data = {

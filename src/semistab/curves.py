@@ -27,7 +27,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """Long Weierstrass equation y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Long Weierstrass equation y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    The attribute invariants holds compute_invariants(curve), computed once
+    when the curve is made; it is not a field, so equality, hash and repr
+    see only the coefficients.
+    """
 
     a1: Fraction
     a2: Fraction
@@ -38,7 +43,8 @@ class WeierstrassCurve:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        compute_invariants(self)  # raises SingularCurveError when delta = 0
+        # raises SingularCurveError when delta = 0
+        object.__setattr__(self, "invariants", compute_invariants(self))
 
     def is_short_form(self) -> bool:
         return self.a1 == self.a2 == self.a3 == 0
@@ -103,7 +109,7 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
 
 
 def valuation_profile(curve: WeierstrassCurve, p: int) -> ValuationProfile:
-    inv = compute_invariants(curve)
+    inv = curve.invariants
     return ValuationProfile(
         p=p,
         v_delta=valuation(inv.delta, p),
@@ -168,7 +174,11 @@ def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:
     multiplicative.
     """
     _require_tame_prime(p)
-    prof = valuation_profile(curve, p)
+    return _reduction_class(valuation_profile(curve, p))
+
+
+def _reduction_class(prof: ValuationProfile) -> str:
+    """reduction_class_at_p read off a valuation profile at p >= 5."""
     if prof.v_delta == 0:
         return "good"
     if prof.v_c4 == 0:

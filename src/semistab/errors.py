@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code contract: InvalidInputError and
-SingularCurveError are user errors (exit 2), NotTabulatedError marks inputs
+The CLI maps these onto its exit-code contract: InvalidInputError,
+SingularCurveError and SizeLimitError are user errors (exit 2), NotTabulatedError marks inputs
 outside the tabulated valuation ranges (exit 3) and is deliberately distinct
 from invalid input, and TheoremViolationError is an internal error (exit 4).
 """
@@ -32,7 +32,9 @@ class NotTabulatedError(SemistabError):
 
 
 class SizeLimitError(SemistabError):
-    """Cover degree or group order above the configured enumeration limits."""
+    """Input over a fixed work limit: a cover degree or group order above the
+    enumeration limits, or a number whose factorization needs more than
+    factorize's Pollard rho budget."""
 
 
 class DisconnectedCoverError(InvalidInputError):

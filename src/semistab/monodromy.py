@@ -29,9 +29,8 @@ from fractions import Fraction
 from .arith import Rational, factorize, lcm_all, residue, valuation
 from .curves import (
     WeierstrassCurve,
-    compute_invariants,
+    _reduction_class,
     minimalize_at_p,
-    reduction_class_at_p,
     valuation_profile,
 )
 from .errors import (
@@ -187,12 +186,13 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     """
     if p in (2, 3):
         raise UnsupportedPrimeError("tame rule valid only for p >= 5")
-    klass = reduction_class_at_p(curve, p)
+    profile = valuation_profile(curve, p)
+    klass = _reduction_class(profile)
     if klass in ("good", "multiplicative"):
         return MonodromyGroup.C1
     if klass == "additive-potentially-multiplicative":
         return MonodromyGroup.C2
-    v_delta = valuation_profile(curve, p).v_delta
+    v_delta = profile.v_delta
     e = 12 // math.gcd(int(v_delta), 12)
     if e not in (2, 3, 4, 6):
         raise TheoremViolationError(
@@ -202,16 +202,20 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     return _CYCLIC_BY_ORDER[e]
 
 
-def bad_primes(s: Fraction) -> list[int]:
-    """Primes of bad reduction of the minimal model of y^2 = x^3 + s.
+def bad_primes(s: Fraction) -> dict[int, int]:
+    """Primes of bad reduction of the minimal model of y^2 = x^3 + s, in
+    prime order, each mapped to v_p(s).
 
     Candidates divide 432 * num(s) * den(s); a candidate p >= 5 is good
     exactly when v_p(s) = 0 mod 6 (the curve minimalizes to a unit
-    parameter there). 2 and 3 always remain bad (432 = 2^4 * 3^3).
+    parameter there). 2 and 3 always remain bad (432 = 2^4 * 3^3). The
+    valuations are read off one factorization of num(s) and one of den(s).
     """
-    # |v_p(s)| for every p dividing s; numerator and denominator are coprime.
-    exponents = factorize(s.numerator) | factorize(s.denominator)
-    return sorted({2, 3} | {p for p, e in exponents.items() if e % 6})
+    # v_p(s) for every p dividing s; numerator and denominator are coprime.
+    valuations = factorize(s.numerator)
+    valuations.update((p, -e) for p, e in factorize(s.denominator).items())
+    bad = {2, 3} | {p for p, v in valuations.items() if v % 6}
+    return {p: valuations.get(p, 0) for p in sorted(bad)}
 
 
 def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
@@ -219,16 +223,16 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
     return LocalMonodromyResult(p=p, group=group, provenance=provenance)
 
 
-def _phi_family(s: Fraction, p: int) -> LocalMonodromyResult:
-    """Local monodromy of y^2 = x^3 + s at p: the tables at 2 and 3, the
-    closed-form tame rule at p >= 5: order 6 / gcd(v_p(s), 6), which is
-    phi_tame on the model minimalized at p (s rescaled by a 6th power of p,
-    negative valuations too), whose v_p(delta_min) is 2 * (v_p(s) mod 6)."""
+def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
+    """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s): the tables at
+    2 and 3, the closed-form tame rule at p >= 5: order 6 / gcd(v, 6), which
+    is phi_tame on the model minimalized at p (s rescaled by a 6th power of
+    p, negative valuations too), whose v_p(delta_min) is 2 * (v mod 6)."""
     if p == 2:
         return LocalMonodromyResult(2, phi_family_at_2(s), "family-table-2")
     if p == 3:
         return LocalMonodromyResult(3, phi_family_at_3(s), "family-table-3")
-    return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(int(valuation(s, p)), 6)])
+    return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(v, 6)])
 
 
 def _coefficients(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
@@ -244,14 +248,14 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     and has good reduction there.
     """
     if curve.is_family_form():
-        return _phi_family(curve.a6, p)
+        return _phi_family(curve.a6, p, valuation(curve.a6, p))
     if p >= 5:
         return _tame_result(p, phi_tame(minimalize_at_p(curve, p)[0], p))
     if any(valuation(a, p) < 0 for a in _coefficients(curve)):
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"
         )
-    if valuation(compute_invariants(curve).delta, p) == 0:
+    if valuation(curve.invariants.delta, p) == 0:
         return LocalMonodromyResult(
             p=p, group=MonodromyGroup.C1, provenance="good-reduction"
         )
@@ -260,10 +264,11 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     )
 
 
-def _or_refusal(derive, subject, p: int) -> LocalMonodromyResult:
-    """derive(subject, p), or the refusal of p carried as data."""
+def _or_refusal(p: int, derive, *args) -> LocalMonodromyResult:
+    """derive(*args), the local result at p, or the refusal of p carried as
+    data."""
     try:
-        return derive(subject, p)
+        return derive(*args)
     except NotTabulatedError as exc:
         return LocalMonodromyResult(p=p, group=None, provenance=str(exc))
 
@@ -291,7 +296,9 @@ def family_report(s: Rational) -> DegreeReport:
     s = Fraction(s)
     if s == 0:
         raise SingularCurveError("s = 0")
-    return _degree_report(s, [_or_refusal(_phi_family, s, p) for p in bad_primes(s)])
+    return _degree_report(
+        s, [_or_refusal(p, _phi_family, s, p, v) for p, v in bad_primes(s).items()]
+    )
 
 
 def curve_report(curve: WeierstrassCurve) -> DegreeReport:
@@ -306,10 +313,9 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
         return family_report(curve.a6)
     if any(a.denominator != 1 for a in _coefficients(curve)):
         raise InvalidInputError("general mode requires an integral model")
-    delta = compute_invariants(curve).delta
     results = [
-        _or_refusal(phi_general_curve, curve, p)
-        for p in sorted(factorize(delta.numerator))
+        _or_refusal(p, phi_general_curve, curve, p)
+        for p in factorize(curve.invariants.delta.numerator)
     ]
     return _degree_report(
         None, [entry for entry in results if entry.group is not MonodromyGroup.C1]

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semistab.arith
 from semistab.arith import (
     INFINITY,
     factorize,
@@ -15,7 +17,7 @@ from semistab.arith import (
     residue,
     valuation,
 )
-from semistab.errors import InvalidInputError
+from semistab.errors import InvalidInputError, SizeLimitError
 
 
 class TestPrimes:
@@ -87,6 +89,73 @@ class TestFactorizeOracle:
         got = factorize(n)
         assert got == factorize_oracle(abs(n))
         assert list(got) == sorted(got)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _seeded_primes(count: int, seed: int) -> list[int]:
+    """Distinct primes in (10^4, 10^9), drawn from random.Random(seed) and
+    checked by trial division, so that rho, not the trial-division table,
+    has to split their products."""
+    rng = random.Random(seed)
+    primes: set[int] = set()
+    while len(primes) < count:
+        n = rng.randrange(10**4 + 1, 10**9) | 1
+        if _is_prime_by_trial_division(n):
+            primes.add(n)
+    return sorted(primes)
+
+
+LARGE_PRIMES = _seeded_primes(24, seed=0x5EED)
+MERSENNE_SEMIPRIME = (2**31 - 1) * (2**61 - 1)
+
+
+class TestRhoOracle:
+    """factorize against factorizations known by construction: products of
+    primes above the trial-division table, which only Pollard rho splits."""
+
+    def test_two_and_three_distinct_factors(self):
+        rng = random.Random(1)
+        for size in (2, 3):
+            for _ in range(20):
+                primes = rng.sample(LARGE_PRIMES, size)
+                got = factorize(rng.choice((-1, 1)) * math.prod(primes))
+                assert got == {p: 1 for p in primes}
+                assert list(got) == sorted(got)
+
+    def test_squares_and_cubes(self):
+        q = LARGE_PRIMES[-1]
+        for p in LARGE_PRIMES[:8]:
+            assert factorize(p**2) == {p: 2}
+            assert factorize(p**3) == {p: 3}
+            got = factorize(6 * p**2 * q)
+            assert got == {2: 1, 3: 1, p: 2, q: 1}
+            assert list(got) == sorted(got)
+
+    def test_mersenne_semiprime(self):
+        assert factorize(MERSENNE_SEMIPRIME) == {2**31 - 1: 1, 2**61 - 1: 1}
+
+    @given(
+        st.lists(st.sampled_from(LARGE_PRIMES), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=10**4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_of_seeded_primes(self, primes, small):
+        expected = dict(factorize_oracle(small))
+        for p in primes:
+            expected[p] = expected.get(p, 0) + 1
+        got = factorize(small * math.prod(primes))
+        assert got == expected
+        assert list(got) == sorted(got)
+
+
+class TestRhoBudget:
+    def test_tiny_budget_refuses_at_once(self, monkeypatch):
+        monkeypatch.setattr(semistab.arith, "RHO_BUDGET", 16)
+        with pytest.raises(SizeLimitError, match=r"92-bit cofactor .* 16 Pollard rho"):
+            factorize(MERSENNE_SEMIPRIME)
 
 
 def naive_valuation(x: Fraction, p: int):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import semistab.cli
+import semistab.curves
 import semistab.galois
 from semistab import __version__
 from semistab.cli import main
@@ -120,6 +127,61 @@ class TestCurve:
     def test_bad_coefficient_count(self, capsys):
         code, _, _ = run(capsys, "curve", "--a", "1,2,3")
         assert code == 2
+
+
+class TestInvariantsOncePerCurve:
+    @staticmethod
+    def curves_seen(monkeypatch, *argv):
+        """The curve objects compute_invariants ran on during main(argv)."""
+        seen = []
+        original = semistab.curves.compute_invariants
+
+        def counting(curve):
+            seen.append(curve)
+            return original(curve)
+
+        monkeypatch.setattr(semistab.curves, "compute_invariants", counting)
+        monkeypatch.setattr(semistab.cli, "compute_invariants", counting)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            # 3: the general curve below is refused at 2 and 3
+            assert main(list(argv)) in (0, 3)
+        return seen
+
+    @pytest.mark.parametrize("s", ["5", "-3/7", "1000000000000000003"])
+    def test_family_call_computes_once(self, monkeypatch, s):
+        assert len(self.curves_seen(monkeypatch, "curve", f"--s={s}", "--json")) == 1
+
+    def test_general_call_computes_once_per_curve_object(self, monkeypatch):
+        # Not minimal at 5 or at 7: the input and one minimal model at each.
+        seen = self.curves_seen(
+            monkeypatch, "curve", "--a", f"0,0,0,{-(35**4)},{2 * 35**6}", "--json"
+        )
+        assert len(seen) == 3
+        assert len({id(curve) for curve in seen}) == 3
+
+
+class TestSizeLimit:
+    # Their discriminants leave a 142- and a 110-bit composite after trial
+    # division; splitting either takes far more than factorize's rho budget.
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            "0,0,0,40933768130512491098956,19577537304",
+            "0,0,0,-5569395,102778844094555363365035808",
+        ],
+    )
+    def test_unsplit_discriminant_exits_2(self, coefficients):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "curve", "--a", coefficients, "--json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: factorize: a ")
+        assert b"Pollard rho iterations" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 class TestCover:
@@ -361,3 +423,95 @@ class TestBrokenPipe:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 141
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.integers(-(10**18), 10**18).map(str),
+    st.builds(
+        lambda num, den: f"{num}/{den}",
+        st.integers(-(10**18), 10**18),
+        st.integers(-1000, 1000),
+    ),
+    st.sampled_from(["", "x", "1.5", "1/2/3", "0"]),
+)
+
+
+@st.composite
+def _galois_argv(draw):
+    # Two generators of degree 6 usually generate A6 or S6, whose lattice
+    # takes tens of seconds; degree 6 gets one generator.
+    degree = draw(st.integers(-1, 6))
+    count = draw(st.integers(1, 2 if degree <= 5 else 1))
+    points = list(range(max(degree, 0)))
+    gens = [
+        semistab.galois.format_cycles(tuple(draw(st.permutations(points))))
+        for _ in range(count)
+    ]
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(["(1 9)", "(1 a)", "(1 2)(1 2)", "()"])))
+    argv = ["galois", "--degree", str(degree), "--gens", ";".join(gens)]
+    return argv + draw(st.sampled_from([[], ["--json"], ["--check-all"], ["--check-all", "--json"]]))
+
+
+def _argv(out: Path):
+    return st.one_of(
+        st.builds(
+            lambda g, mod, fmt: ["minkowski", "--g", str(g), "--gl-mod", str(mod), "--format", fmt],
+            st.integers(-2, 12), st.integers(-2, 60), st.sampled_from(["tsv", "json"]),
+        ),
+        st.builds(
+            lambda s, json_flag: ["curve", f"--s={s}"] + json_flag,
+            _RATIONAL_TEXT, st.sampled_from([[], ["--json"]]),
+        ),
+        st.builds(
+            lambda coefficients, json_flag: ["curve", "--a", ",".join(coefficients)] + json_flag,
+            st.lists(
+                st.one_of(st.integers(-50, 50).map(str), _RATIONAL_TEXT),
+                min_size=4, max_size=6,
+            ),
+            st.sampled_from([[], ["--json"]]),
+        ),
+        st.builds(
+            lambda p, low, high, fmt: [
+                "cover", "--p", str(p), "--min-val", str(low), "--max-val", str(high),
+                "--format", fmt,
+            ],
+            st.integers(-3, 12), st.integers(-3, 8), st.integers(-3, 8),
+            st.sampled_from(["tsv", "json"]),
+        ),
+        st.builds(
+            lambda start, span, step, threads: [
+                "sweep", "--from", str(start), "--to", str(start + span),
+                "--step", str(step), "--out", str(out), "--threads", str(threads),
+            ],
+            st.integers(-(10**6), 10**6), st.integers(-5, 200), st.integers(-5, 5),
+            st.integers(1, 4),
+        ),
+        _galois_argv(),
+        st.just(["verify"]),
+    )
+
+
+class TestFuzzMain:
+    @given(data=st.data())
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_codes(self, tmp_path, data):
+        argv = data.draw(_argv(tmp_path / "sweep.jsonl"))
+        if data.draw(st.booleans()):
+            argv = ["--plain"] + argv
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # Only argparse may exit: the innermost frame is its own.
+                tb = exc.__traceback__
+                while tb.tb_next is not None:
+                    tb = tb.tb_next
+                assert tb.tb_frame.f_code.co_filename == argparse.__file__, argv
+                code = exc.code
+        assert code in {0, 1, 2, 3, 4, 141}, argv
+

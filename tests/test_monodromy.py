@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from semistab.arith import lcm_all, residue, valuation
+from semistab.arith import factorize, lcm_all, residue, valuation
 from semistab.curves import (
     WeierstrassCurve,
     compute_invariants,
@@ -420,3 +422,95 @@ class TestPhiGeneralCurve:
         result = phi_general_curve(family_curve(5), 5)
         assert result.provenance == "tame-rule"
         assert result.group is G.C6
+
+
+_CYCLIC = {1: G.C1, 2: G.C2, 3: G.C3, 4: G.C4, 6: G.C6}
+
+
+def valuation_route_family_report(s: Fraction):
+    """family_report by the route it took before bad_primes returned v_p(s):
+    the bad primes from both factorizations' exponents, then valuation(s, p)
+    again for every tame prime. Returns (p, group, provenance) per bad prime
+    and the degree."""
+    exponents = factorize(s.numerator) | factorize(s.denominator)
+    locals_ = []
+    for p in sorted({2, 3} | {p for p, e in exponents.items() if e % 6}):
+        if p in (2, 3):
+            phi = phi_family_at_2 if p == 2 else phi_family_at_3
+            try:
+                group, provenance = phi(s), f"family-table-{p}"
+            except NotTabulatedError as exc:
+                group, provenance = None, str(exc)
+        else:
+            group = _CYCLIC[6 // math.gcd(int(valuation(s, p)), 6)]
+            provenance = "good-reduction" if group is G.C1 else "tame-rule"
+        locals_.append((p, group, provenance))
+    if any(group is None for _, group, _ in locals_):
+        return locals_, None
+    return locals_, lcm_all([group.order for _, group, _ in locals_])
+
+
+def profile_route_tame_group(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
+    """phi_tame on the model minimalized at p, by the route it took before
+    one valuation profile served both the class and v_p(delta): the public
+    reduction_class_at_p, then v_p(delta_min) from compute_invariants."""
+    minimal, _ = minimalize_at_p(curve, p)
+    klass = reduction_class_at_p(minimal, p)
+    if klass in ("good", "multiplicative"):
+        return G.C1
+    if klass == "additive-potentially-multiplicative":
+        return G.C2
+    v_delta = valuation(compute_invariants(minimal).delta, p)
+    return _CYCLIC[12 // math.gcd(int(v_delta), 12)]
+
+
+class TestOneFactorizationRoutes:
+    def _family_parameters(self):
+        rng = random.Random(20250)
+        for n in range(1, 20_001):
+            yield Fraction(n)
+            yield Fraction(-n)
+        for _ in range(2_000):
+            num = rng.choice((-1, 1)) * rng.randint(1, 10**7)
+            yield Fraction(num, rng.randint(1, 10**5))
+
+    def test_family_report_matches_valuation_route(self):
+        for s in self._family_parameters():
+            report = family_report(s)
+            locals_, degree = valuation_route_family_report(s)
+            assert [(e.p, e.group, e.provenance) for e in report.locals] == locals_, s
+            assert report.degree == degree, s
+
+    def test_bad_primes_carry_signed_valuations(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            s = Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, 10**6) * 5 ** rng.randrange(0, 13),
+                rng.randint(1, 10**4) * 7 ** rng.randrange(0, 13),
+            )
+            primes = bad_primes(s)
+            assert list(primes) == sorted(primes)
+            assert primes == {p: valuation(s, p) for p in primes}, s
+
+    def test_curve_report_matches_profile_route(self):
+        rng = random.Random(1300)
+        not_minimal = 0
+        for _ in range(300):
+            # k minimalization steps at p on top of a model with v_p(a4) < 4
+            # or v_p(a6) < 6; the discriminant's cofactor stays below 2^53.
+            p = rng.choice((5, 7, 11, 13))
+            k = rng.randrange(0, 3)
+            while True:
+                a4 = rng.choice((-1, 1)) * rng.randint(1, 30) * p ** (4 * k + rng.randrange(0, 4))
+                a6 = rng.choice((-1, 1, 0)) * rng.randint(1, 30) * p ** (6 * k + rng.randrange(0, 6))
+                if 4 * a4**3 + 27 * a6**2:
+                    break
+            curve = WeierstrassCurve(0, 0, 0, a4, a6)
+            report = curve_report(curve)
+            for q in (5, 7, 11, 13):
+                not_minimal += minimalize_at_p(curve, q)[1] > 0
+                entry = report.local_at(q)
+                got = G.C1 if entry is None else entry.group
+                assert got is profile_route_tame_group(curve, q), (a4, a6, q)
+        assert not_minimal >= 50
+
