@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -49,6 +50,7 @@ from .minkowski import (
     to_scientific,
 )
 from .monodromy import (
+    FAMILY_TABLES,
     LocalMonodromyResult,
     MonodromyGroup,
     curve_report,
@@ -139,10 +141,33 @@ def cover_report_data(report: CoverReport) -> dict:
 # subcommands
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, counted without str(n)."""
+    digits = int(math.log10(n)) + 1
+    # log10 is rounded, so it may land on the wrong side of a power of ten.
+    while n >= 10**digits:
+        digits += 1
+    while n < 10 ** (digits - 1):
+        digits -= 1
+    return digits
+
+
 def cmd_minkowski(args) -> int:
     if args.g < 1:
         raise InvalidInputError("--g must be >= 1")
-    reports = [MinkowskiReport.build(g, args.gl_mod) for g in range(1, args.g + 1)]
+    # str() refuses an int longer than this (0: no limit; Python < 3.10.7
+    # has no limit and no getter).
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reports = []
+    for g in range(1, args.g + 1):
+        report = MinkowskiReport.build(g, args.gl_mod)
+        digits = _decimal_digits(max(report.bound, report.gl12_card))
+        if max_digits and digits > max_digits:
+            raise SizeLimitError(
+                f"minkowski: row g = {g} holds a {digits}-digit integer, over "
+                f"the {max_digits}-digit limit of integer string conversion"
+            )
+        reports.append(report)
     if args.format == "json":
         payload = [
             {
@@ -226,7 +251,9 @@ def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
 def cmd_sweep(args) -> int:
     if args.step == 0:
         raise InvalidInputError("--step must not be 0")
-    covers = {2: enumerate_cover(2, (0, 2)), 3: enumerate_cover(3, (0, 4))}
+    covers = {
+        p: enumerate_cover(p, (0, len(rows) - 1)) for p, rows in FAMILY_TABLES.items()
+    }
     values = sorted(range(args.start, args.stop + 1, args.step))
     records = [sweep_record(s, covers) for s in values]
     try:

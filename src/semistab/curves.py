@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, Rational, valuation
+from .arith import Rational, valuation
 from .errors import (
     InvalidInputError,
     SingularCurveError,
@@ -68,12 +68,10 @@ class CurveInvariants:
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """p-adic valuations of the main invariants; +infinity for zero values."""
+    """p-adic valuations of delta, c4 and j; +infinity for zero values."""
 
-    p: int
     v_delta: int | float
     v_c4: int | float
-    v_c6: int | float
     v_j: int | float
 
 
@@ -109,14 +107,11 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
 
 
 def valuation_profile(curve: WeierstrassCurve, p: int) -> ValuationProfile:
+    """v_p of delta and c4, and v_p(j) = 3 v_p(c4) - v_p(delta) from them
+    (+infinity when c4 = 0, as v_p(0))."""
     inv = curve.invariants
-    return ValuationProfile(
-        p=p,
-        v_delta=valuation(inv.delta, p),
-        v_c4=valuation(inv.c4, p),
-        v_c6=valuation(inv.c6, p),
-        v_j=valuation(inv.j, p) if inv.j != 0 else INFINITY,
-    )
+    v_delta, v_c4 = valuation(inv.delta, p), valuation(inv.c4, p)
+    return ValuationProfile(v_delta=v_delta, v_c4=v_c4, v_j=3 * v_c4 - v_delta)
 
 
 def family_curve(s: Rational) -> WeierstrassCurve:

@@ -11,7 +11,13 @@ generate exactly the right multiplications by the whole monodromy group.
 
 A subgroup is stored once, as an int bitmask over its parent's elements
 numbered in sorted order; its permutations are derived from the mask when
-first read.
+first read. Products and inverses of elements, and the conjugates of a
+subgroup (_GroupIndex.conjugates, the one conjugation path), are read off
+the parent's Cayley table.
+
+The module constants MAX_DEGREE and MAX_GROUP_ORDER bound every closure and
+subgroup lattice; past them a SizeLimitError names the limit. They are read
+at call time, not bound as defaults.
 
 Points are 0-based internally; cycle notation at the I/O boundary is
 1-based.
@@ -23,7 +29,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DisconnectedCoverError,
@@ -146,10 +152,7 @@ class PermutationGroup:
 
     @classmethod
     def generate(
-        cls,
-        generators: list[Perm] | tuple[Perm, ...],
-        degree: int,
-        limit: int = MAX_GROUP_ORDER,
+        cls, generators: list[Perm] | tuple[Perm, ...], degree: int
     ) -> "PermutationGroup":
         gens = tuple(check_perm(g, degree) for g in generators)
         elements = {identity(degree)}
@@ -162,9 +165,9 @@ class PermutationGroup:
                     if y not in elements:
                         elements.add(y)
                         nxt.append(y)
-                        if len(elements) > limit:
+                        if len(elements) > MAX_GROUP_ORDER:
                             raise SizeLimitError(
-                                f"group order exceeds limit {limit}"
+                                f"group order exceeds limit {MAX_GROUP_ORDER}"
                             )
             frontier = nxt
         return cls(degree=degree, generators=gens, elements=frozenset(elements))
@@ -209,16 +212,6 @@ class Subgroup:
     def order(self) -> int:
         return self.mask.bit_count()
 
-    def conjugate_by(self, g: Perm) -> "Subgroup":
-        g_inv = inverse(g)
-        number = self.parent._index.number
-        return Subgroup(
-            parent=self.parent,
-            mask=_GroupIndex.mask(
-                number(compose(compose(g, x), g_inv)) for x in self.elements
-            ),
-        )
-
     def sort_key(self) -> tuple:
         # Element numbers follow sorted order, so this sorts by order, then
         # by the sorted element tuple.
@@ -253,8 +246,6 @@ class _GroupIndex:
         ]
         self.inverse = [row.index(self.identity) for row in self.table]
         self.orders = [perm_order(x) for x in elements]
-        self._by_prefix = by_prefix
-        self._prefix_length = k
         self._conjugates: dict[int, tuple[int, ...]] = {}
         # subgroup bitmask -> the number of its isomorphism class
         self._classes: dict[int, int] = {}
@@ -273,13 +264,6 @@ class _GroupIndex:
     def members(mask: int) -> list[int]:
         # bin(mask)[:1:-1] lists the bits from the lowest up.
         return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-    def number(self, x: Perm) -> int:
-        """The number of the permutation x; InvalidInputError if x is not in G."""
-        i = self._by_prefix.get(x[: self._prefix_length])
-        if i is None or self.elements[i] != x:
-            raise InvalidInputError(f"{x} is not an element of the group")
-        return i
 
     def is_subgroup(self, mask: int) -> bool:
         """Whether the bitmask is a subset of G that contains the identity and
@@ -390,20 +374,20 @@ def _indexed(group: Subgroup | PermutationGroup) -> tuple[_GroupIndex, list[int]
     return index, list(range(index.order))
 
 
-def enumerate_subgroups(
-    group: PermutationGroup, limit: int = MAX_GROUP_ORDER
-) -> list[Subgroup]:
+def enumerate_subgroups(group: PermutationGroup) -> list[Subgroup]:
     """All subgroups, by extension one element at a time.
 
     Starting from the trivial subgroup, extend each known subgroup H by one
     element x per left coset xH (since <H, x> = <H, xh>) and close, until no
     new subgroup appears. Every subgroup is reached: it is the last link of
     a chain <x1> < <x1, x2> < ... Output is deterministic: sorted by order,
-    then by element set.
+    then by element set. A group over MAX_GROUP_ORDER elements (possible
+    only for one built directly, not by generate) raises SizeLimitError.
     """
-    if group.order > limit:
+    if group.order > MAX_GROUP_ORDER:
         raise SizeLimitError(
-            f"group order {group.order} exceeds enumeration limit {limit}"
+            f"group order {group.order} exceeds enumeration limit "
+            f"{MAX_GROUP_ORDER}"
         )
     return list(group._index.subgroups)
 
@@ -455,23 +439,22 @@ class GaloisClosure:
     """Galois closure data of a finite cover.
 
     orbit: the diagonal orbit of the base tuple, i.e. the monodromy group's
-    elements written as tuples; deck_group: the commuting simply-transitive
-    action on orbit indices; projections[i][j] = i-th coordinate of orbit
-    element j (the n maps closure -> fiber).
+    elements written as tuples, sorted; deck_group: the commuting
+    simply-transitive action on orbit indices. The n maps closure -> fiber
+    are the coordinates p_i: j -> orbit[j][i], computed where needed.
     """
 
     base_cover: FiniteCover
     orbit: tuple[Perm, ...]
     monodromy_group: PermutationGroup
     deck_group: PermutationGroup
-    projections: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def base_index(self) -> int:
         return self.orbit.index(identity(self.base_cover.degree))
 
     def deck_action_on_fiber(self, deck_element: Perm) -> Perm:
-        """The fiber permutation induced by a deck element on the projections.
+        """The fiber permutation induced by a deck element on the maps p_i.
 
         A deck element sends projection p_i to p_{h(i)} where h is the
         monodromy element it right-multiplies by; h is read off the image
@@ -487,21 +470,18 @@ class GaloisClosure:
         return {i: base[i] for i in range(self.base_cover.degree)}
 
 
-def galois_closure(
-    cover: FiniteCover,
-    max_degree: int = MAX_DEGREE,
-    max_group_order: int = MAX_GROUP_ORDER,
-) -> GaloisClosure:
+def galois_closure(cover: FiniteCover) -> GaloisClosure:
     """Construct the Galois closure of a transitive cover.
 
     The orbit of (0,..,n-1) under the diagonal action is in bijection with
     the generated monodromy group, so the closure is Galois with deck group
-    of the same order.
+    of the same order. A cover of degree over MAX_DEGREE, or a group of
+    order over MAX_GROUP_ORDER, raises SizeLimitError.
     """
     n = cover.degree
-    if n > max_degree:
-        raise SizeLimitError(f"degree {n} exceeds limit {max_degree}")
-    group = PermutationGroup.generate(cover.generators, n, limit=max_group_order)
+    if n > MAX_DEGREE:
+        raise SizeLimitError(f"degree {n} exceeds limit {MAX_DEGREE}")
+    group = PermutationGroup.generate(cover.generators, n)
     orbit = tuple(sorted(group.elements))
     index = {t: j for j, t in enumerate(orbit)}
     # Right multiplication by h permutes the orbit and commutes with the
@@ -510,21 +490,12 @@ def galois_closure(
         return tuple(index[compose(t, h)] for t in orbit)
 
     deck = PermutationGroup.generate(
-        [right_mult(h) for h in cover.generators],
-        len(orbit),
-        limit=max_group_order,
+        [right_mult(h) for h in cover.generators], len(orbit)
     )
     if deck.order != group.order:
         raise TheoremViolationError("deck action is not simply transitive")
-    projections = tuple(
-        tuple(t[i] for t in orbit) for i in range(n)
-    )
     return GaloisClosure(
-        base_cover=cover,
-        orbit=orbit,
-        monodromy_group=group,
-        deck_group=deck,
-        projections=projections,
+        base_cover=cover, orbit=orbit, monodromy_group=group, deck_group=deck
     )
 
 

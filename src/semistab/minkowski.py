@@ -29,6 +29,11 @@ def minkowski_exponent(g: int, p: int) -> int:
         raise InvalidInputError("g must be a positive integer")
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
+    return _exponent(g, p)
+
+
+def _exponent(g: int, p: int) -> int:
+    """minkowski_exponent for g >= 1 and a prime p, unchecked."""
     total = 0
     term = p - 1
     while term <= 2 * g:
@@ -43,7 +48,7 @@ def minkowski_bound(g: int) -> int:
         raise InvalidInputError("g must be a positive integer")
     bound = 1
     for p in primes_up_to(2 * g + 1):
-        bound *= p ** minkowski_exponent(g, p)
+        bound *= p ** _exponent(g, p)
     return bound
 
 
@@ -93,11 +98,8 @@ class MinkowskiReport:
 
     @classmethod
     def build(cls, g: int, gl_modulus: int = 12) -> "MinkowskiReport":
-        exponents = {
-            p: minkowski_exponent(g, p)
-            for p in primes_up_to(2 * g + 1)
-            if minkowski_exponent(g, p) > 0
-        }
+        # Every prime p <= 2g + 1 has p - 1 <= 2g, so r(g, p) >= 1.
+        exponents = {p: _exponent(g, p) for p in primes_up_to(2 * g + 1)}
         return cls(
             g=g,
             exponents=exponents,

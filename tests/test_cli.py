@@ -61,6 +61,28 @@ class TestMinkowski:
         assert payload[8]["gl_mod_12_approx"] == "7.3e+348"
         assert payload[1]["gl_mod_12_approx"] == "3.2e+16"
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("g", [31, 32, 1_000_000])
+    def test_int_str_digit_limit(self, g, fmt):
+        # |GL_64(Z/12)|, in row 32, has 4,420 digits: more than str() prints
+        # under the default limit of 4,300.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "minkowski", "--g", str(g), "--format", fmt],
+            capture_output=True, env=env, timeout=30,
+        )
+        assert b"Traceback" not in proc.stderr
+        if g == 31:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            return
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: minkowski: row g = 32 holds a 4420-digit integer, over the "
+            b"4300-digit limit of integer string conversion\n"
+        )
+
 
 class TestCurve:
     def test_family_maximal(self, capsys):
@@ -457,7 +479,7 @@ def _argv(out: Path):
     return st.one_of(
         st.builds(
             lambda g, mod, fmt: ["minkowski", "--g", str(g), "--gl-mod", str(mod), "--format", fmt],
-            st.integers(-2, 12), st.integers(-2, 60), st.sampled_from(["tsv", "json"]),
+            st.integers(-2, 40), st.integers(-2, 60), st.sampled_from(["tsv", "json"]),
         ),
         st.builds(
             lambda s, json_flag: ["curve", f"--s={s}"] + json_flag,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistab.arith import valuation
+from semistab.arith import INFINITY, valuation
 from semistab.curves import (
     WeierstrassCurve,
     compute_invariants,
@@ -175,6 +175,42 @@ class TestMinimalizeOracle:
     def test_not_integral_rejected(self, a4, a6):
         with pytest.raises(InvalidInputError, match="not integral at 5"):
             minimalize_at_p(WeierstrassCurve(0, 0, 0, a4, a6), 5)
+
+
+def profile_by_direct_valuations(curve: WeierstrassCurve, p: int) -> tuple:
+    """Independent route, valuation_profile's former one: delta, c4 and j
+    each valued directly; returns (v_delta, v_c4, v_j)."""
+    inv = compute_invariants(curve)
+    v_j = valuation(inv.j, p) if inv.j != 0 else INFINITY
+    return valuation(inv.delta, p), valuation(inv.c4, p), v_j
+
+
+class TestValuationProfileOracle:
+    def test_derived_v_j_agrees(self, rng):
+        kinds = dict.fromkeys(["short", "scaled", "long", "c4=0"], 0)
+        for _ in range(2000):
+            p = rng.choice([5, 7, 11, 13, 10007])
+            kind = rng.choice(list(kinds))
+            a = [0, 0, 0, random_coefficient(rng, p, 9), random_coefficient(rng, p, 13)]
+            if kind == "scaled":
+                # Not minimal at p: k >= 1 steps above a model.
+                k = rng.randint(1, 3)
+                a[3], a[4] = a[3] * p ** (4 * k), (a[4] or 1) * p ** (6 * k)
+            elif kind == "long":
+                a[:3] = [rng.randint(-20, 20) for _ in range(3)]
+            elif kind == "c4=0":
+                # b2 = b4 = 0, so c4 = 0 and v_p(c4) = v_p(j) = +infinity.
+                a[2], a[3] = rng.randint(-20, 20), 0
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            prof = valuation_profile(curve, p)
+            assert (prof.v_delta, prof.v_c4, prof.v_j) == profile_by_direct_valuations(
+                curve, p
+            ), (a, p)
+            kinds[kind] += 1
+        assert min(kinds.values()) > 400, kinds
 
 
 class TestReductionClass:

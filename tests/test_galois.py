@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import semistab.galois
 from semistab.cli import main
 from semistab.errors import (
     DisconnectedCoverError,
@@ -312,11 +313,18 @@ class TestGaloisClosure:
         with pytest.raises(DisconnectedCoverError):
             FiniteCover(4, ((1, 0, 2, 3),))
 
-    def test_size_limits(self):
-        with pytest.raises(SizeLimitError):
-            galois_closure(NAMED_COVERS["C3"], max_degree=2)
-        with pytest.raises(SizeLimitError):
-            galois_closure(NAMED_COVERS["S4"], max_group_order=10)
+    def test_size_limits(self, monkeypatch):
+        monkeypatch.setattr(semistab.galois, "MAX_DEGREE", 2)
+        with pytest.raises(SizeLimitError, match="exceeds limit 2$"):
+            galois_closure(NAMED_COVERS["C3"])
+        monkeypatch.undo()
+        monkeypatch.setattr(semistab.galois, "MAX_GROUP_ORDER", 10)
+        with pytest.raises(SizeLimitError, match="exceeds limit 10$"):
+            galois_closure(NAMED_COVERS["S4"])
+        # A group built directly, not by generate, meets the limit here.
+        s4 = PermutationGroup(4, (), frozenset(itertools.permutations(range(4))))
+        with pytest.raises(SizeLimitError, match="24 exceeds enumeration limit 10$"):
+            enumerate_subgroups(s4)
 
     def test_random_covers_closure_properties(self, rng):
         for _ in range(200):
@@ -547,48 +555,23 @@ class TestIsomorphism:
 
     @pytest.mark.parametrize("name", ["D4", "S4"])
     def test_conjugate_by_matches_compose(self, name):
+        # Oracle: every g x g^-1 built with `compose`, numbered in sorted order.
         deck = galois_closure(NAMED_COVERS[name]).deck_group
+        number = {x: i for i, x in enumerate(deck.sorted_elements())}
         for sub in enumerate_subgroups(deck):
+            expected = set()
             for g in deck.elements:
                 g_inv = inverse(g)
-                assert sub.conjugate_by(g).elements == frozenset(
-                    compose(compose(g, x), g_inv) for x in sub.elements
-                )
-
-    def test_conjugate_by_left_multiplication(self):
-        # Left multiplications commute with the deck group's right
-        # multiplications, so conjugating by one fixes every subgroup, also
-        # when it lies outside the (non-abelian) deck group.
-        closure = galois_closure(NAMED_COVERS["S3"])
-        deck = closure.deck_group
-        index = {t: j for j, t in enumerate(closure.orbit)}
-        lefts = [
-            tuple(index[compose(g, t)] for t in closure.orbit)
-            for g in sorted(closure.monodromy_group.elements)
-        ]
-        assert any(left not in deck for left in lefts)
-        for sub in enumerate_subgroups(deck):
-            for left in lefts:
-                assert sub.conjugate_by(left) == sub
-
-    def test_conjugate_outside_parent_rejected(self):
-        deck = galois_closure(NAMED_COVERS["S3"]).deck_group
-        two = next(s for s in enumerate_subgroups(deck) if s.order == 2)
-        g = next(
-            g for g in itertools.permutations(range(6))
-            if any(
-                compose(compose(g, x), inverse(g)) not in deck
-                for x in two.elements
-            )
-        )
-        with pytest.raises(InvalidInputError):
-            two.conjugate_by(g)
+                expected.add(sum(
+                    1 << number[compose(compose(g, x), g_inv)] for x in sub.elements
+                ))
+            assert set(deck._index.conjugates(sub.mask)) == expected
 
     def test_conjugates_are_isomorphic(self):
         deck = galois_closure(NAMED_COVERS["D4"]).deck_group
         for sub in enumerate_subgroups(deck):
-            for g in deck.elements:
-                assert isomorphic(sub, sub.conjugate_by(g))
+            for mask in deck._index.conjugates(sub.mask):
+                assert isomorphic(sub, Subgroup(deck, mask))
 
 
 class TestClassifyPoint:
