@@ -6,10 +6,10 @@ touches floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import InvalidInputError, SizeLimitError
 
@@ -129,15 +129,11 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 #: table lookup in valuation's primality check.
 _TRIAL_BOUND = 10_000
 
-_SMALL_PRIMES: tuple[int, ...] | None = None
 
-
+@functools.cache
 def _trial_primes() -> tuple[int, ...]:
     """The primes below _TRIAL_BOUND, sieved once on first use."""
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND - 1))
-    return _SMALL_PRIMES
+    return tuple(primes_up_to(_TRIAL_BOUND - 1))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -243,10 +239,3 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse rational {text!r}") from exc
 
-
-def lcm_all(values: Iterator[int] | list[int]) -> int:
-    """lcm of an iterable; 1 for the empty iterable."""
-    result = 1
-    for v in values:
-        result = math.lcm(result, v)
-    return result

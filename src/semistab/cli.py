@@ -40,7 +40,6 @@ from .galois import (
     enumerate_subgroups,
     format_cycles,
     galois_closure,
-    isomorphic,
     parse_cycles,
 )
 from .minkowski import (
@@ -75,10 +74,6 @@ def _header(args) -> None:
 # serialization
 
 
-def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def local_data(entry: LocalMonodromyResult) -> dict:
     group = entry.group
     return {
@@ -105,8 +100,8 @@ def general_report_data(curve: WeierstrassCurve) -> tuple[dict, int]:
     report = curve_report(curve)
     degree = report.degree
     data = {
-        "s": None if report.s is None else rational_str(report.s),
-        "delta": rational_str(delta),
+        "s": None if report.s is None else str(report.s),
+        "delta": str(delta),
         "bad_primes": [entry.p for entry in report.locals],
         "monodromy": [local_data(entry) for entry in report.locals],
         "degree": degree,
@@ -291,19 +286,14 @@ def cmd_galois(args) -> int:
     closure = galois_closure(cover)
     deck = closure.deck_group
     subs = enumerate_subgroups(deck)
-    reps: list[Subgroup] = []
-    counts: list[int] = []
+    # Insertion order is first occurrence in subs, so classes keep that order.
+    by_class: dict[int, list[Subgroup]] = {}
     for sub in subs:
-        for i, rep in enumerate(reps):
-            if isomorphic(sub, rep):
-                counts[i] += 1
-                break
-        else:
-            reps.append(sub)
-            counts.append(1)
+        by_class.setdefault(sub.isomorphism_class, []).append(sub)
+    reps = [members[0] for members in by_class.values()]
     classes = [
-        {"order": rep.order, "subgroups": count}
-        for rep, count in zip(reps, counts)
+        {"order": members[0].order, "subgroups": len(members)}
+        for members in by_class.values()
     ]
     checked = None
     if args.check_all:
@@ -435,8 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="monodromy and degree of one curve")
     group = p_curve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--s", help="family parameter (integer or num/den)")
-    group.add_argument("--a", help="a1,a2,a3,a4,a6 of a Weierstrass equation")
+    group.add_argument(
+        "--s",
+        help="family parameter (integer or num/den); a negative num/den "
+        "needs '=', as in --s=-1/2",
+    )
+    group.add_argument(
+        "--a",
+        help="a1,a2,a3,a4,a6 of a Weierstrass equation; a list that starts "
+        "with '-' needs '=', as in --a=-1,0,0,0,1",
+    )
     p_curve.add_argument("--json", action="store_true")
     p_curve.set_defaults(func=cmd_curve)
 

@@ -46,6 +46,11 @@ class WeierstrassCurve:
         # raises SingularCurveError when delta = 0
         object.__setattr__(self, "invariants", compute_invariants(self))
 
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """(a1, a2, a3, a4, a6), the order `semistab curve --a` takes."""
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
     def is_short_form(self) -> bool:
         return self.a1 == self.a2 == self.a3 == 0
 
@@ -96,9 +101,9 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
     if delta == 0:
-        # a1,a2,a3,a4,a6, the form `semistab curve --a` takes
-        coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-        raise SingularCurveError("singular curve: " + ",".join(map(str, coefficients)))
+        raise SingularCurveError(
+            "singular curve: " + ",".join(map(str, curve.coefficients))
+        )
     if 4 * b8 != b2 * b6 - b4**2 or 1728 * delta != c4**3 - c6**2:
         raise TheoremViolationError(f"b/c invariant identities fail for {curve}")
     return CurveInvariants(

@@ -212,6 +212,12 @@ class Subgroup:
     def order(self) -> int:
         return self.mask.bit_count()
 
+    @property
+    def isomorphism_class(self) -> int:
+        """The number of the subgroup's isomorphism class among the parent's
+        subgroups (_GroupIndex.isomorphism_class)."""
+        return self.parent._index.isomorphism_class(self.mask)
+
     def sort_key(self) -> tuple:
         # Element numbers follow sorted order, so this sorts by order, then
         # by the sorted element tuple.
@@ -526,8 +532,7 @@ def isomorphic(a: Subgroup | PermutationGroup, b: Subgroup | PermutationGroup) -
     if a.order != b.order:
         return False
     if isinstance(a, Subgroup) and isinstance(b, Subgroup) and a.parent is b.parent:
-        index = a.parent._index
-        return index.isomorphism_class(a.mask) == index.isomorphism_class(b.mask)
+        return a.isomorphism_class == b.isomorphism_class
     return _isomorphic_indexed(_indexed(a), _indexed(b))
 
 

@@ -81,7 +81,7 @@ def asymptotic_ratio_diagnostic(n: int) -> float:
         raise InvalidInputError("n must be an even integer >= 2")
     g = n // 2
     log_m = math.fsum(
-        minkowski_exponent(g, p) * math.log(p) for p in primes_up_to(n + 1)
+        _exponent(g, p) * math.log(p) for p in primes_up_to(n + 1)
     )
     log_fact = math.lgamma(n + 1)
     return math.exp((log_m - log_fact) / n)

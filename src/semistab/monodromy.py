@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, factorize, lcm_all, residue, valuation
+from .arith import Rational, factorize, residue, valuation
 from .curves import (
     WeierstrassCurve,
     _reduction_class,
+    _require_tame_prime,
     minimalize_at_p,
     valuation_profile,
 )
@@ -38,7 +39,6 @@ from .errors import (
     NotTabulatedError,
     SingularCurveError,
     TheoremViolationError,
-    UnsupportedPrimeError,
 )
 
 class MonodromyGroup(enum.Enum):
@@ -184,8 +184,7 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     multiplicative: C2. Additive potentially good: cyclic of order
     12 / gcd(v_p(delta_min), 12), always in {2, 3, 4, 6}.
     """
-    if p in (2, 3):
-        raise UnsupportedPrimeError("tame rule valid only for p >= 5")
+    _require_tame_prime(p)
     profile = valuation_profile(curve, p)
     klass = _reduction_class(profile)
     if klass in ("good", "multiplicative"):
@@ -235,10 +234,6 @@ def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(v, 6)])
 
 
-def _coefficients(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
-    return (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-
-
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     """Local monodromy of an arbitrary integral Weierstrass curve at p.
 
@@ -251,7 +246,7 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
         return _phi_family(curve.a6, p, valuation(curve.a6, p))
     if p >= 5:
         return _tame_result(p, phi_tame(minimalize_at_p(curve, p)[0], p))
-    if any(valuation(a, p) < 0 for a in _coefficients(curve)):
+    if any(valuation(a, p) < 0 for a in curve.coefficients):
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"
         )
@@ -279,7 +274,7 @@ def _degree_report(
     """Attach d(E), the lcm of the local orders, unless a prime is refused."""
     if any(entry.group is None for entry in locals_):
         return DegreeReport(s=s, locals=tuple(locals_), degree=None)
-    degree = lcm_all([entry.group.order for entry in locals_])
+    degree = math.lcm(*(entry.group.order for entry in locals_))
     if 24 % degree != 0:
         raise TheoremViolationError(
             f"degree {degree} does not divide the g=1 bound 24 (s = {s})"
@@ -311,7 +306,7 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
     """
     if curve.is_family_form():
         return family_report(curve.a6)
-    if any(a.denominator != 1 for a in _coefficients(curve)):
+    if any(a.denominator != 1 for a in curve.coefficients):
         raise InvalidInputError("general mode requires an integral model")
     results = [
         _or_refusal(p, phi_general_curve, curve, p)

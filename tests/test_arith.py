@@ -11,7 +11,6 @@ from semistab.arith import (
     INFINITY,
     factorize,
     is_prime,
-    lcm_all,
     parse_rational,
     primes_up_to,
     residue,
@@ -265,16 +264,3 @@ class TestParseRational:
         with pytest.raises(InvalidInputError):
             parse_rational(text)
 
-
-class TestLcm:
-    def test_values(self):
-        assert lcm_all([]) == 1
-        assert lcm_all([4, 6]) == 12
-        assert lcm_all([3, 4, 24]) == 24
-
-    @given(st.lists(st.integers(min_value=1, max_value=50), max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_divisibility(self, values):
-        result = lcm_all(values)
-        assert all(result % v == 0 for v in values)
-        assert result == math.lcm(*values) if values else result == 1

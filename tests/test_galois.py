@@ -670,6 +670,28 @@ class TestMaskClassification:
 
 
 class TestGaloisCommand:
+    @pytest.mark.parametrize("name", sorted(NAMED_COVERS))
+    def test_classes_match_uncached_grouping(self, capsys, name):
+        cover = NAMED_COVERS[name]
+        reps, counts = [], []
+        for sub in enumerate_subgroups(galois_closure(cover).deck_group):
+            i = next(
+                (i for i, rep in enumerate(reps) if uncached_isomorphic(sub, rep)),
+                None,
+            )
+            if i is None:
+                reps.append(sub)
+                counts.append(1)
+            else:
+                counts[i] += 1
+        gens = ";".join(format_cycles(g) for g in cover.generators)
+        argv = ["galois", "--degree", str(cover.degree), "--gens", gens, "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["classes"] == [
+            {"order": rep.order, "subgroups": count}
+            for rep, count in zip(reps, counts)
+        ]
+
     @pytest.mark.parametrize("degree, gens", sorted(PINNED_LATTICE_JSON))
     def test_check_all_stdout_pinned(self, capsys, degree, gens):
         argv = ["galois", "--degree", degree, "--gens", gens, "--check-all", "--json"]

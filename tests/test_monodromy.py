@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from semistab.arith import factorize, lcm_all, residue, valuation
+from semistab.arith import factorize, residue, valuation
 from semistab.curves import (
     WeierstrassCurve,
     compute_invariants,
@@ -20,6 +20,7 @@ from semistab.errors import (
 )
 from semistab.monodromy import (
     MonodromyGroup,
+    _degree_report,
     bad_primes,
     curve_report,
     family_report,
@@ -306,8 +307,8 @@ class TestSemistabilityDegree:
 
     def test_degree_is_lcm_of_local_orders(self):
         report = semistability_degree(Fraction(5, 7))
-        assert report.degree == lcm_all(
-            [entry.group.order for entry in report.locals]
+        assert report.degree == math.lcm(
+            *(entry.group.order for entry in report.locals)
         )
         assert {entry.p for entry in report.locals} == {2, 3, 5, 7}
 
@@ -347,7 +348,8 @@ class TestSemistabilityDegree:
             assert twisted.locals == base.locals
 
     def test_empty_lcm_convention(self):
-        assert lcm_all([]) == 1
+        # No local result leaves d(E) = 1, the lcm of nothing.
+        assert _degree_report(None, []).degree == 1
 
 
 class TestReports:
@@ -447,7 +449,7 @@ def valuation_route_family_report(s: Fraction):
         locals_.append((p, group, provenance))
     if any(group is None for _, group, _ in locals_):
         return locals_, None
-    return locals_, lcm_all([group.order for _, group, _ in locals_])
+    return locals_, math.lcm(*(group.order for _, group, _ in locals_))
 
 
 def profile_route_tame_group(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
