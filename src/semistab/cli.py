@@ -16,6 +16,7 @@ its records serially: --threads is accepted and has no effect.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .errors import (
 from .galois import (
     FiniteCover,
     Subgroup,
+    check_degree,
     enumerate_subgroups,
     format_cycles,
     galois_closure,
@@ -63,6 +65,12 @@ EXIT_INVALID = 2
 EXIT_NOT_TABULATED = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+
+# Records a sweep computes before it serializes them. In a process that runs
+# many sweeps (the benchmark's sweep-small), alternating record by record
+# measured about 4% slower and up to 1.5 MiB higher in peak RSS than
+# computing a block and then writing it.
+SWEEP_BLOCK = 100
 
 
 def _header(args) -> None:
@@ -244,31 +252,42 @@ def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    """Write one JSON record per s in the range to --out, then the summary.
+
+    Records are written a block of SWEEP_BLOCK at a time, in ascending s,
+    and the summary is counted as they go, so memory does not grow with the
+    range. --out is opened before any record is computed: an unwritable path
+    exits 2 with no work done, but a record that raises later (exit 2 over a
+    size limit, exit 4 on an internal error) leaves the blocks before it in
+    the file.
+    """
     if args.step == 0:
         raise InvalidInputError("--step must not be 0")
     covers = {
         p: enumerate_cover(p, (0, len(rows) - 1)) for p, rows in FAMILY_TABLES.items()
     }
-    values = sorted(range(args.start, args.stop + 1, args.step))
-    records = [sweep_record(s, covers) for s in values]
+    values = range(args.start, args.stop + 1, args.step)
+    pending = iter(values if args.step > 0 else reversed(values))
+    records = 0
+    degree_counts: dict[str, int] = {}
+    all_divide = True
     try:
         with open(args.out, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            while block := [
+                sweep_record(s, covers) for s in itertools.islice(pending, SWEEP_BLOCK)
+            ]:
+                for record in block:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    degree = record["degree"]
+                    key = str(degree) if degree else "not-tabulated"
+                    degree_counts[key] = degree_counts.get(key, 0) + 1
+                    all_divide = all_divide and (degree is None or 24 % degree == 0)
+                    records += 1
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    degree_counts: dict[str, int] = {}
-    for record in records:
-        key = str(record["degree"]) if record["degree"] else "not-tabulated"
-        degree_counts[key] = degree_counts.get(key, 0) + 1
-    all_divide = all(
-        24 % record["degree"] == 0
-        for record in records
-        if record["degree"] is not None
-    )
     summary = {
-        "records": len(records),
+        "records": records,
         "degree_counts": dict(sorted(degree_counts.items())),
         "all_degrees_divide_24": all_divide,
     }
@@ -277,6 +296,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_galois(args) -> int:
+    check_degree(args.degree)
     gens = [
         parse_cycles(part, args.degree)
         for part in args.gens.split(";")

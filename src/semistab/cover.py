@@ -13,16 +13,16 @@ share one modulus exponent.
 
 `locate` is one indexed lookup, not a scan over the balls: it computes
 v = v_p(s) once, takes stratum v's exponent k and looks up the ball keyed by
-(v, s mod p^k) in an index kept on the CoverReport. The exact-cover check
-walks the units u of each stratum v in range, r = u * p^v mod p^m (m the
-check's exponent), and counts r's balls in a Counter keyed by
-(p^k, center): one lookup per distinct ball modulus, with no valuation
-computed per residue.
+(v, s mod p^k) in an index kept on the CoverReport. Building that index is
+also the exact-cover check, stated on the balls: each stratum v in range has
+one modulus exponent k, no center twice, and (p - 1) * p^(k - v - 1) balls,
+the number of units mod p^(k - v). A ball's center is reduced mod p^k and has
+valuation v < k, so distinct centers with one modulus are disjoint balls,
+and that many of them are every class u * p^v mod p^k: the stratum exactly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,16 +78,37 @@ class CoverReport:
 
     @cached_property
     def _index(self) -> tuple[dict[int, int], dict[tuple[int, int], PadicBall]]:
-        """Modulus exponent per stratum, and ball per (stratum, center)."""
+        """Modulus exponent per stratum, and ball per (stratum, center).
+
+        Raises TheoremViolationError unless the balls cover each stratum in
+        range exactly: one modulus exponent k, no center twice, and
+        (p - 1) * p^(k - v - 1) balls, one per unit class mod p^(k - v).
+        """
+        p = self.p
         exponents: dict[int, int] = {}
+        counts: dict[int, int] = {}
         by_center: dict[tuple[int, int], PadicBall] = {}
         for ball in self.balls:
             v = ball.stratum
             if exponents.setdefault(v, ball.modulus_exponent) != ball.modulus_exponent:
                 raise TheoremViolationError(
-                    f"stratum {v} at {self.p} has balls of different moduli"
+                    f"stratum {v} at {p} has balls of different moduli"
+                )
+            if (v, ball.center) in by_center:
+                raise TheoremViolationError(
+                    f"center {ball.center} at {p} has two balls"
                 )
             by_center[(v, ball.center)] = ball
+            counts[v] = counts.get(v, 0) + 1
+        lo, hi = self.valuation_range
+        for v in range(lo, hi + 1):
+            k = exponents.get(v, v + 1)
+            units = (p - 1) * p ** (k - v - 1)
+            if counts.get(v, 0) != units:
+                raise TheoremViolationError(
+                    f"stratum {v} at {p} has {counts.get(v, 0)} balls "
+                    f"mod {p}^{k}, not {units}"
+                )
         return exponents, by_center
 
 
@@ -107,8 +128,8 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     Only the strata with a row in FAMILY_TABLES[p] are available: 0..4 at
     p = 3, 0..2 at p = 2; a p that is not prime and an empty range (min >
     max) are invalid input, refused before any table lookup.
-    Disjointness and exact coverage of each stratum are asserted before the
-    report is returned.
+    The report's index is built before it is returned, which checks that
+    the balls cover each stratum exactly (CoverReport._index).
     """
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
@@ -127,31 +148,8 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
         balls.extend(_stratum_balls(p, v))
     balls.sort(key=lambda b: (b.stratum, b.center))
     report = CoverReport(p=p, valuation_range=(lo, hi), balls=tuple(balls))
-    _assert_disjoint_exact_cover(report)
+    report._index  # builds the index, which checks the cover
     return report
-
-
-def _assert_disjoint_exact_cover(report: CoverReport) -> None:
-    """Every residue of the covered strata lies in exactly one ball."""
-    p = report.p
-    lo, hi = report.valuation_range
-    max_exp = max(max(b.modulus_exponent for b in report.balls) + 2, 7)
-    hits_by_key = Counter((p**b.modulus_exponent, b.center) for b in report.balls)
-    moduli = sorted({modulus for modulus, _ in hits_by_key})
-    # Residues r in 1..p^max_exp - 1 have v_p(r) < max_exp. Stratum v's
-    # residues are u * p^v for the units u, the multiples of p^v that p^(v+1)
-    # does not divide.
-    for v in range(max(lo, 0), min(hi, max_exp - 1) + 1):
-        for r in range(p**v, p**max_exp, p**v):
-            if r % p ** (v + 1) == 0:
-                continue
-            hits = 0
-            for m in moduli:
-                hits += hits_by_key.get((m, r % m), 0)
-            if hits != 1:
-                raise TheoremViolationError(
-                    f"residue {r} mod {p}^{max_exp} lies in {hits} balls"
-                )
 
 
 def locate(s: Rational, report: CoverReport) -> PadicBall:

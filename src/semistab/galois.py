@@ -80,6 +80,12 @@ def perm_order(a: Perm) -> int:
     return order
 
 
+def check_degree(n: int) -> None:
+    """Refuse a cover degree over MAX_DEGREE, before anything of size n is built."""
+    if n > MAX_DEGREE:
+        raise SizeLimitError(f"degree {n} exceeds limit {MAX_DEGREE}")
+
+
 def check_perm(a, degree: int) -> Perm:
     a = tuple(a)
     if sorted(a) != list(range(degree)):
@@ -485,8 +491,7 @@ def galois_closure(cover: FiniteCover) -> GaloisClosure:
     order over MAX_GROUP_ORDER, raises SizeLimitError.
     """
     n = cover.degree
-    if n > MAX_DEGREE:
-        raise SizeLimitError(f"degree {n} exceeds limit {MAX_DEGREE}")
+    check_degree(n)
     group = PermutationGroup.generate(cover.generators, n)
     orbit = tuple(sorted(group.elements))
     index = {t: j for j, t in enumerate(orbit)}

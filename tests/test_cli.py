@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -355,6 +357,39 @@ class TestSweep:
         assert code == 2
         assert "cannot write" in err
 
+    def test_unwritable_output_refused_before_any_record(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def never(s, covers):
+            raise AssertionError("a record was computed")
+
+        monkeypatch.setattr(semistab.cli, "sweep_record", never)
+        code, out, err = run(
+            capsys, "sweep", "--from", "1", "--to", "5",
+            "--out", str(tmp_path / "missing" / "x.jsonl"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ")
+
+    def test_memory_does_not_grow_with_the_range(self, capsys, tmp_path):
+        # Records are written a block at a time: 20,000 records held in a
+        # list take about 28 MiB, a block of SWEEP_BLOCK = 100 about 0.4 MiB.
+        out_file = tmp_path / "m.jsonl"
+        run(capsys, "sweep", "--from", "1", "--to", "2", "--out", str(out_file))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "sweep", "--from", "1", "--to", "20000",
+                "--out", str(out_file),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["records"] == 20000
+        assert peak < 2 * 2**20
+
 
 class TestGalois:
     def test_s3_summary(self, capsys):
@@ -397,6 +432,22 @@ class TestGalois:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: ")
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("degree", [11, 10**12])
+    def test_degree_over_limit_refused_before_parsing(self, degree):
+        # The fiber of a degree-10^12 cover does not fit in the child's
+        # 512 MiB of address space; the limit must be checked first.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "galois", "--degree", str(degree),
+             "--gens", "(1 2)"],
+            capture_output=True, env=env, timeout=60, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: degree {degree} exceeds limit 10\n".encode()
 
     @pytest.mark.parametrize("degree", ["0", "-1"])
     def test_nonpositive_degree_rejected(self, capsys, degree):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from semistab.arith import valuation
 from semistab.cover import (
     CoverReport,
     PadicBall,
-    _assert_disjoint_exact_cover,
     enumerate_cover,
     locate,
 )
@@ -126,16 +126,16 @@ class TestExactCoverCheck:
             broken = CoverReport(
                 p, report.valuation_range, report.balls[:i] + report.balls[i + 1 :]
             )
-            with pytest.raises(TheoremViolationError, match="lies in 0 balls"):
-                _assert_disjoint_exact_cover(broken)
+            with pytest.raises(TheoremViolationError, match=r"balls mod \d\^\d, not "):
+                broken._index
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_duplicated_ball(self, p, reports):
         report = reports[p]
         for ball in report.balls:
             broken = CoverReport(p, report.valuation_range, report.balls + (ball,))
-            with pytest.raises(TheoremViolationError, match="lies in 2 balls"):
-                _assert_disjoint_exact_cover(broken)
+            with pytest.raises(TheoremViolationError, match="has two balls$"):
+                broken._index
 
     def test_coarser_ball_overlapping_two_finer(self, reports):
         # 4 + 2^3 Z_2 holds both 4 + 2^4 Z_2 and 12 + 2^4 Z_2.
@@ -143,10 +143,87 @@ class TestExactCoverCheck:
         fine = [b for b in report.balls if b.stratum == 2]
         assert [(b.center, b.modulus_exponent) for b in fine] == [(4, 4), (12, 4)]
         coarse = PadicBall(p=2, center=4, modulus_exponent=3, group=G.C3)
-        with pytest.raises(TheoremViolationError, match="lies in 2 balls"):
-            _assert_disjoint_exact_cover(
-                CoverReport(2, report.valuation_range, report.balls + (coarse,))
-            )
+        broken = CoverReport(2, report.valuation_range, report.balls + (coarse,))
+        with pytest.raises(TheoremViolationError, match="different moduli"):
+            broken._index
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_agrees_with_residue_walk(self, p, reports):
+        # The check is stated on the balls; the reference walks every
+        # residue of every stratum mod p^m. They must reject the same covers.
+        rng = random.Random(13 + p)
+        report = reports[p]
+        verdicts = set()
+        for balls in perturbed_covers(report, rng):
+            broken = CoverReport(p, report.valuation_range, balls)
+            try:
+                broken._index
+            except TheoremViolationError:
+                rejected = True
+            else:
+                rejected = False
+            assert rejected == (not walk_finds_exact_cover(broken)), balls
+            verdicts.add(rejected)
+        assert verdicts == {True, False}
+
+
+def perturbed_covers(report: CoverReport, rng: random.Random):
+    """Up to 300 seeded perturbations of a full cover: a random ball dropped,
+    duplicated, re-centred mod p^(k +- 1) or moved to another unit, or a
+    whole stratum removed; about half of them perturbed twice, which can
+    give an exact cover again."""
+    p, balls = report.p, report.balls
+
+    def rebuilt(ball: PadicBall, center: int, k: int) -> PadicBall | None:
+        center %= p**k
+        if valuation(center, p) >= k:  # also center 0
+            return None
+        return PadicBall(p=p, center=center, modulus_exponent=k, group=ball.group)
+
+    def single(balls):
+        i = rng.randrange(len(balls))
+        ball = balls[i]
+        v, k = ball.stratum, ball.modulus_exponent
+        kind = rng.choice(("drop", "duplicate", "modulus", "move", "stratum"))
+        if kind == "drop":
+            return balls[:i] + balls[i + 1 :]
+        if kind == "duplicate":
+            return balls + (ball,)
+        if kind == "modulus":
+            new = rebuilt(ball, ball.center, k + rng.choice((-1, 1)))
+        elif kind == "move":
+            unit = rng.randrange(1, p ** (k - v))
+            new = rebuilt(ball, unit * p**v, k) if unit % p else None
+        else:
+            return tuple(b for b in balls if b.stratum != v)
+        return None if new is None else balls[:i] + (new,) + balls[i + 1 :]
+
+    for _ in range(300):
+        candidate = single(balls)
+        if candidate is not None and rng.random() < 0.5:
+            candidate = single(candidate) if candidate else None
+        if candidate:
+            yield candidate
+
+
+def walk_finds_exact_cover(report: CoverReport) -> bool:
+    """The reference: every residue of every stratum in range, mod p^m with
+    m two past the largest modulus exponent (and at least 7), lies in exactly
+    one ball, and no stratum mixes moduli."""
+    p = report.p
+    lo, hi = report.valuation_range
+    m = max(max(b.modulus_exponent for b in report.balls) + 2, 7)
+    moduli: dict[int, set[int]] = {}
+    for b in report.balls:
+        moduli.setdefault(b.stratum, set()).add(b.modulus_exponent)
+    if any(len(ks) > 1 for ks in moduli.values()):
+        return False
+    for r in range(1, p**m):
+        if lo <= valuation(r, p) <= hi:
+            hits = sum(1 for b in report.balls if r % p**b.modulus_exponent == b.center)
+            if hits != 1:
+                return False
+    return True
 
 
 def linear_scan(s, report: CoverReport) -> PadicBall:
