@@ -15,6 +15,12 @@ first read. Products and inverses of elements, and the conjugates of a
 subgroup (_GroupIndex.conjugates, the one conjugation path), are read off
 the parent's Cayley table.
 
+The subgroup lattice is built one conjugacy class at a time: only one
+representative per class is extended, and the rest of the class comes from
+its conjugates (enumerate_subgroups). The classification's covering route
+finds its cells once per conjugacy class and keeps them on the group's
+index (_point_cells).
+
 The module constants MAX_DEGREE and MAX_GROUP_ORDER bound every closure and
 subgroup lattice; past them a SizeLimitError names the limit. They are read
 at call time, not bound as defaults.
@@ -264,6 +270,8 @@ class _GroupIndex:
         # order -> the classes of that order, as (number, representative's
         # element numbers)
         self._class_reps: dict[int, list[tuple[int, list[int]]]] = {}
+        # conjugates(mask) of a subgroup I -> route (b)'s cells for I
+        self._cells: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
 
     @staticmethod
     def mask(members) -> int:
@@ -307,7 +315,11 @@ class _GroupIndex:
         return self.mask(closed)
 
     def conjugates(self, mask: int) -> tuple[int, ...]:
-        """The distinct conjugates g H g^-1 of the subgroup H, as bitmasks."""
+        """The distinct conjugates g H g^-1 of the subgroup H, as bitmasks.
+
+        Every conjugate of H has the same conjugates, so one walk over the
+        cosets answers for the whole conjugacy class.
+        """
         found = self._conjugates.get(mask)
         if found is None:
             table, members = self.table, self.members(mask)
@@ -321,7 +333,8 @@ class _GroupIndex:
                 tried |= self.mask(coset)
                 g_inv = self.inverse[g]
                 distinct.add(self.mask(table[x][g_inv] for x in coset))
-            found = self._conjugates[mask] = tuple(sorted(distinct))
+            found = tuple(sorted(distinct))
+            self._conjugates.update(dict.fromkeys(found, found))
         return found
 
     def isomorphism_class(self, mask: int) -> int:
@@ -355,13 +368,14 @@ class _GroupIndex:
     def subgroups(self) -> "tuple[Subgroup, ...]":
         """Every subgroup, as enumerate_subgroups describes."""
         trivial = 1 << self.identity
-        # subgroup bitmask -> the generators it was closed from
-        known: dict[int, list[int]] = {trivial: []}
+        known = {trivial}
+        # one subgroup bitmask per conjugacy class -> its generators
+        reps: dict[int, list[int]] = {trivial: []}
         frontier = [trivial]
         while frontier:
             nxt = []
             for sub in frontier:
-                gens, members = known[sub], self.members(sub)
+                gens, members = reps[sub], self.members(sub)
                 tried = sub
                 for x in range(self.order):
                     if tried >> x & 1:
@@ -369,7 +383,8 @@ class _GroupIndex:
                     tried |= self.mask(self.table[x][h] for h in members)
                     extended = self.close(gens + [x])
                     if extended not in known:
-                        known[extended] = gens + [x]
+                        known.update(self.conjugates(extended))
+                        reps[extended] = gens + [x]
                         nxt.append(extended)
             frontier = nxt
         subs = [Subgroup(self.group, sub) for sub in known]
@@ -387,14 +402,20 @@ def _indexed(group: Subgroup | PermutationGroup) -> tuple[_GroupIndex, list[int]
 
 
 def enumerate_subgroups(group: PermutationGroup) -> list[Subgroup]:
-    """All subgroups, by extension one element at a time.
+    """All subgroups, by extension one element at a time, one conjugacy
+    class at a time.
 
-    Starting from the trivial subgroup, extend each known subgroup H by one
-    element x per left coset xH (since <H, x> = <H, xh>) and close, until no
-    new subgroup appears. Every subgroup is reached: it is the last link of
-    a chain <x1> < <x1, x2> < ... Output is deterministic: sorted by order,
-    then by element set. A group over MAX_GROUP_ORDER elements (possible
-    only for one built directly, not by generate) raises SizeLimitError.
+    Starting from the trivial subgroup, extend one representative H of each
+    known conjugacy class by one element x per left coset xH (since
+    <H, x> = <H, xh>) and close, until no new subgroup appears. A new
+    extension becomes its class's representative, and all its conjugates
+    (_GroupIndex.conjugates) join the known subgroups. Every subgroup is
+    reached: it is the last link of a chain <x1> < <x1, x2> < ..., and if
+    K = <H, x> and R = gHg^-1 is H's representative, then
+    gKg^-1 = <R, gxg^-1> comes out of R's expansion, and K is one of its
+    conjugates. Output is deterministic: sorted by order, then by element
+    set. A group over MAX_GROUP_ORDER elements (possible only for one built
+    directly, not by generate) raises SizeLimitError.
     """
     if group.order > MAX_GROUP_ORDER:
         raise SizeLimitError(
@@ -619,16 +640,25 @@ def _generator_mapping_search(
 
 def _point_cells(deck: PermutationGroup, I: Subgroup) -> list[Subgroup]:
     """Route (b)'s cells for I, in enumerate_subgroups order: the minimal
-    subgroups that contain a conjugate of I (see classify_point)."""
-    conjugates = deck._index.conjugates(I.mask)
-    cells: list[Subgroup] = []
-    for H in enumerate_subgroups(deck):
-        outside = ~H.mask
-        if any(c & outside == 0 for c in conjugates) and not any(
-            cell.mask & outside == 0 for cell in cells
-        ):
-            cells.append(H)
-    return cells
+    subgroups that contain a conjugate of I (see classify_point).
+
+    The cells depend on I only through its conjugates, the same tuple for I
+    and every gIg^-1, so they are found once per conjugacy class and kept
+    on the deck group's index, keyed by that tuple.
+    """
+    index = deck._index
+    conjugates = index.conjugates(I.mask)
+    cells = index._cells.get(conjugates)
+    if cells is None:
+        found: list[Subgroup] = []
+        for H in enumerate_subgroups(deck):
+            outside = ~H.mask
+            if any(c & outside == 0 for c in conjugates) and not any(
+                cell.mask & outside == 0 for cell in found
+            ):
+                found.append(H)
+        cells = index._cells[conjugates] = tuple(found)
+    return list(cells)
 
 
 def classify_point(
@@ -646,13 +676,39 @@ def classify_point(
     conjugates of I are read once. Walking the subgroups in ascending order,
     a subgroup with a point is a cell unless it contains a cell found
     earlier: its proper subgroups sort before it, and each subgroup with a
-    point contains a minimal one. The two routes must agree; disagreement
+    point contains a minimal one. The cells are found once per conjugacy
+    class of I (_point_cells). The two routes must agree; disagreement
     raises.
+
+    Both routes look a subgroup of the deck group up by its class number
+    (Subgroup.isomorphism_class) in one map built per call from the
+    representatives whose parent is the deck group object; a
+    representative or I whose parent is only equal to it is compared with
+    isomorphic().
     """
     deck = closure.deck_group
     if I.parent != deck or any(h.parent != deck for h in class_reps):
         raise InvalidInputError("inputs must be subgroups of the deck group")
-    direct_matches = [i for i, rep in enumerate(class_reps) if isomorphic(I, rep)]
+    # class number -> the indices of the representatives of that class
+    by_class: dict[int, list[int]] = {}
+    others: list[int] = []
+    for i, rep in enumerate(class_reps):
+        if rep.parent is deck:
+            by_class.setdefault(rep.isomorphism_class, []).append(i)
+        else:
+            others.append(i)
+
+    def matches(S: Subgroup) -> list[int]:
+        """The indices of the representatives isomorphic to S, ascending."""
+        if S.parent is not deck:
+            return [i for i, rep in enumerate(class_reps) if isomorphic(S, rep)]
+        found = by_class.get(S.isomorphism_class, [])
+        if others:
+            found = found + [i for i in others if isomorphic(S, class_reps[i])]
+            found.sort()
+        return found
+
+    direct_matches = matches(I)
     if len(direct_matches) != 1:
         raise InvalidInputError(
             "class_reps must contain exactly one representative per "
@@ -663,10 +719,7 @@ def classify_point(
     cells = _point_cells(deck, I)
     if not cells:
         raise TheoremViolationError("no cell contains I")
-    via_cover = {
-        next(i for i, rep in enumerate(class_reps) if isomorphic(H, rep))
-        for H in cells
-    }
+    via_cover = {min(matches(H), default=None) for H in cells}
     if via_cover != {direct}:
         raise TheoremViolationError(
             f"covering construction gives classes {via_cover}, direct gives {direct}"

@@ -114,6 +114,29 @@ PINNED_S5_JSON = (
     '"generators": ["(1 2)", "(1 2 3 4 5)"], "orbit_size": 120, '
     '"subgroup_count": 156}' "\n"
 )
+# The same for S6, `--degree 6 --gens '(1 2);(1 2 3 4 5 6)'`, recorded
+# before the subgroup lattice was built one conjugacy class at a time and
+# route (b)'s cells were kept per conjugacy class.
+PINNED_S6_JSON = (
+    '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, '
+    '"subgroups": 75}, {"order": 3, "subgroups": 40}, {"order": 4, '
+    '"subgroups": 165}, {"order": 4, "subgroups": 90}, {"order": 5, '
+    '"subgroups": 36}, {"order": 6, "subgroups": 160}, {"order": 6, '
+    '"subgroups": 120}, {"order": 8, "subgroups": 180}, {"order": 8, '
+    '"subgroups": 30}, {"order": 8, "subgroups": 45}, {"order": 9, '
+    '"subgroups": 10}, {"order": 10, "subgroups": 36}, {"order": 12, '
+    '"subgroups": 120}, {"order": 12, "subgroups": 30}, {"order": 16, '
+    '"subgroups": 45}, {"order": 18, "subgroups": 40}, {"order": 18, '
+    '"subgroups": 10}, {"order": 20, "subgroups": 36}, {"order": 24, '
+    '"subgroups": 60}, {"order": 24, "subgroups": 30}, {"order": 36, '
+    '"subgroups": 20}, {"order": 36, "subgroups": 10}, {"order": 48, '
+    '"subgroups": 30}, {"order": 60, "subgroups": 12}, {"order": 72, '
+    '"subgroups": 10}, {"order": 120, "subgroups": 12}, {"order": '
+    '360, "subgroups": 1}, {"order": 720, "subgroups": 1}], '
+    '"classified_subgroups": 1455, "deck_group_order": 720, "degree": '
+    '6, "generators": ["(1 2)", "(1 2 3 4 5 6)"], "orbit_size": 720, '
+    '"subgroup_count": 1455}' "\n"
+)
 
 
 def coset_fixed_point_oracle(deck: PermutationGroup, H: Subgroup, I: Subgroup):
@@ -172,6 +195,32 @@ def subgroup_oracle(group: PermutationGroup) -> set[frozenset]:
                     nxt.append(joined)
         frontier = nxt
     return set(generators)
+
+
+def reference_subgroups(group: PermutationGroup) -> list[int]:
+    """Every subgroup's bitmask, in enumerate_subgroups order, found by
+    extending every known subgroup (not one per conjugacy class) by one
+    element per left coset and closing."""
+    index = group._index
+    trivial = 1 << index.identity
+    # subgroup bitmask -> the generators it was closed from
+    known: dict[int, list[int]] = {trivial: []}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            gens, members = known[sub], index.members(sub)
+            tried = sub
+            for x in range(index.order):
+                if tried >> x & 1:
+                    continue
+                tried |= index.mask(index.table[x][h] for h in members)
+                extended = index.close(gens + [x])
+                if extended not in known:
+                    known[extended] = gens + [x]
+                    nxt.append(extended)
+        frontier = nxt
+    return sorted(known, key=lambda mask: (mask.bit_count(), index.members(mask)))
 
 
 def random_transitive_cover(rng, max_degree=6) -> FiniteCover:
@@ -238,6 +287,8 @@ LATTICE_COVERS = {
     "A5": NAMED_COVERS["A5"],
     "S4xC2": S4XC2_COVER,
 }
+# LATTICE_COVERS and NAMED_COVERS together.
+ALL_COVERS = {**NAMED_COVERS, **LATTICE_COVERS}
 
 
 class TestPermutationBasics:
@@ -460,6 +511,25 @@ class TestSubgroupEnumeration:
         assert Subgroup(parent=deck, mask=full).elements == deck.elements
         assert Subgroup(parent=deck, mask=identity_only).order == 1
 
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("name", sorted(ALL_COVERS))
+    def test_per_class_expansion_matches_reference(self, name, seed):
+        cover = ALL_COVERS[name]
+        if seed is not None:
+            cover = relabelled(cover, seed)
+        deck = galois_closure(cover).deck_group
+        subs = enumerate_subgroups(deck)
+        masks = [s.mask for s in subs]
+        assert masks == reference_subgroups(deck)
+        assert {s.elements for s in subs} == subgroup_oracle(deck)
+        # The subgroups fall into whole conjugacy classes.
+        index = deck._index
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for mask in masks:
+            classes.setdefault(index.conjugates(mask), []).append(mask)
+        for conjugates, members in classes.items():
+            assert set(members) == set(conjugates)
+
     @pytest.mark.parametrize("name", ["S4xC2", "S5"])
     def test_order_is_size_then_sorted_elements(self, name):
         cover = S4XC2_COVER if name == "S4xC2" else S5_COVER
@@ -637,15 +707,27 @@ class TestMaskClassification:
                     fixed_point_check(closure, H, I)
                 )
 
-    @pytest.mark.parametrize(
-        "name", sorted(LATTICE_COVERS.keys() | NAMED_COVERS.keys())
-    )
+    @pytest.mark.parametrize("name", sorted(ALL_COVERS))
     def test_cells_match_all_pairs_filter(self, name):
-        closure = galois_closure(LATTICE_COVERS.get(name) or NAMED_COVERS[name])
-        for I in enumerate_subgroups(closure.deck_group):
-            assert _point_cells(closure.deck_group, I) == all_pairs_cells(
-                closure, I
-            )
+        reference = galois_closure(ALL_COVERS[name])
+        subs = enumerate_subgroups(reference.deck_group)
+        expected = [all_pairs_cells(reference, I) for I in subs]
+        # Walked up, the first subgroup of each conjugacy class finds its
+        # cells and the later ones read them through a conjugate; walked
+        # down, the other way round. Each walk starts with an empty cache.
+        for order in (range(len(subs)), reversed(range(len(subs)))):
+            closure = galois_closure(ALL_COVERS[name])
+            deck = closure.deck_group
+            seen: set[tuple[int, ...]] = set()
+            for i in order:
+                I = Subgroup(deck, subs[i].mask)
+                conjugates = deck._index.conjugates(I.mask)
+                cached = conjugates in deck._index._cells
+                assert cached == (conjugates in seen)
+                seen.add(conjugates)
+                assert _point_cells(deck, I) == expected[i]
+            # One entry per conjugacy class of subgroups.
+            assert deck._index._cells.keys() == seen
 
     @pytest.mark.parametrize("name", ["A5", "S4xC2"])
     def test_isomorphic_matches_uncached(self, name):
@@ -709,3 +791,15 @@ class TestGaloisCommand:
         data = json.loads(out)
         assert data["deck_group_order"] == 120
         assert data["subgroup_count"] == data["classified_subgroups"] == 156
+
+    def test_s6_check_all(self, capsys):
+        argv = [
+            "galois", "--degree", "6", "--gens", "(1 2);(1 2 3 4 5 6)",
+            "--check-all", "--json",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == PINNED_S6_JSON
+        data = json.loads(out)
+        assert data["deck_group_order"] == 720
+        assert data["subgroup_count"] == data["classified_subgroups"] == 1455
