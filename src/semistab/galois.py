@@ -680,33 +680,25 @@ def classify_point(
     class of I (_point_cells). The two routes must agree; disagreement
     raises.
 
-    Both routes look a subgroup of the deck group up by its class number
-    (Subgroup.isomorphism_class) in one map built per call from the
-    representatives whose parent is the deck group object; a
-    representative or I whose parent is only equal to it is compared with
-    isomorphic().
+    Both routes look a subgroup up by its class number among the deck
+    group's subgroups (_GroupIndex.isomorphism_class) in one map built per
+    call from the representatives. A subgroup of a deck group that is equal
+    to this one but a distinct object is looked up the same way: equal
+    groups number their elements alike (sorted_elements), so its mask
+    means the same on this deck group's index.
     """
     deck = closure.deck_group
     if I.parent != deck or any(h.parent != deck for h in class_reps):
         raise InvalidInputError("inputs must be subgroups of the deck group")
+    index = deck._index
     # class number -> the indices of the representatives of that class
     by_class: dict[int, list[int]] = {}
-    others: list[int] = []
     for i, rep in enumerate(class_reps):
-        if rep.parent is deck:
-            by_class.setdefault(rep.isomorphism_class, []).append(i)
-        else:
-            others.append(i)
+        by_class.setdefault(index.isomorphism_class(rep.mask), []).append(i)
 
     def matches(S: Subgroup) -> list[int]:
         """The indices of the representatives isomorphic to S, ascending."""
-        if S.parent is not deck:
-            return [i for i, rep in enumerate(class_reps) if isomorphic(S, rep)]
-        found = by_class.get(S.isomorphism_class, [])
-        if others:
-            found = found + [i for i in others if isomorphic(S, class_reps[i])]
-            found.sort()
-        return found
+        return by_class.get(index.isomorphism_class(S.mask), [])
 
     direct_matches = matches(I)
     if len(direct_matches) != 1:

@@ -473,15 +473,22 @@ class TestSubgroupEnumeration:
             )
 
     @pytest.mark.parametrize(
-        "name, count", [("D4", 10), ("A4", 10), ("S4", 30), ("S4xC2", 98)]
+        "name, count",
+        [("D4", 10), ("A4", 10), ("S4", 30), ("A5", 59), ("S4xC2", 98)],
     )
     def test_agrees_with_join_oracle(self, name, count):
-        cover = S4XC2_COVER if name == "S4xC2" else NAMED_COVERS[name]
-        deck = galois_closure(cover).deck_group
+        deck = galois_closure(ALL_COVERS[name]).deck_group
         subs = enumerate_subgroups(deck)
         assert len(subs) == count
         assert {s.elements for s in subs} == subgroup_oracle(deck)
         assert subs == sorted(subs, key=Subgroup.sort_key)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["D4", "A4", "D6", "S4"])
+    def test_relabelled_agrees_with_join_oracle(self, name, seed):
+        deck = galois_closure(relabelled(ALL_COVERS[name], seed)).deck_group
+        subs = enumerate_subgroups(deck)
+        assert {s.elements for s in subs} == subgroup_oracle(deck)
 
     def test_equal_groups_keep_their_own_subgroups(self):
         # Two closures of one cover give equal but distinct deck groups;
@@ -521,7 +528,6 @@ class TestSubgroupEnumeration:
         subs = enumerate_subgroups(deck)
         masks = [s.mask for s in subs]
         assert masks == reference_subgroups(deck)
-        assert {s.elements for s in subs} == subgroup_oracle(deck)
         # The subgroups fall into whole conjugacy classes.
         index = deck._index
         classes: dict[tuple[int, ...], list[int]] = {}
@@ -680,6 +686,24 @@ class TestClassifyPoint:
         for i, rep in enumerate(reps):
             cell = [s for s in subs if assignment[s.elements] == i]
             assert all(isomorphic(s, rep) for s in cell)
+
+    def test_reps_of_an_equal_deck_group(self):
+        # Representatives (and I) may belong to an equal but distinct deck
+        # group object; they classify as the deck group's own do.
+        closure = galois_closure(NAMED_COVERS["D4"])
+        other = galois_closure(NAMED_COVERS["D4"]).deck_group
+        assert other == closure.deck_group and other is not closure.deck_group
+        subs = enumerate_subgroups(closure.deck_group)
+        other_subs = enumerate_subgroups(other)
+        reps = self.class_reps(subs)
+        other_reps = self.class_reps(other_subs)
+        for sub, other_sub in zip(subs, other_subs):
+            expected = classify_point(closure, sub, reps)
+            assert classify_point(closure, sub, other_reps) == expected
+            assert classify_point(closure, other_sub, other_reps) == expected
+            assert classify_point(closure, other_sub, reps) == expected
+        with pytest.raises(InvalidInputError):
+            classify_point(closure, subs[0], reps + other_reps[:1])
 
     def test_incomplete_reps_rejected(self):
         closure = galois_closure(NAMED_COVERS["S3"])
