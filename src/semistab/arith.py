@@ -220,7 +220,7 @@ def residue(x: Rational, modulus: int) -> int:
     """
     if isinstance(x, int):
         return x % modulus
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     if math.gcd(x.denominator, modulus) != 1:
         raise InvalidInputError(
             f"{x} has no well-defined residue mod {modulus}"

@@ -39,6 +39,7 @@ from .galois import (
     FiniteCover,
     Subgroup,
     check_degree,
+    classify_point,
     enumerate_subgroups,
     format_cycles,
     galois_closure,
@@ -317,8 +318,6 @@ def cmd_galois(args) -> int:
     ]
     checked = None
     if args.check_all:
-        from .galois import classify_point
-
         for sub in subs:
             classify_point(closure, sub, reps)
         checked = len(subs)

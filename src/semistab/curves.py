@@ -120,11 +120,9 @@ def valuation_profile(curve: WeierstrassCurve, p: int) -> ValuationProfile:
 
 
 def family_curve(s: Rational) -> WeierstrassCurve:
-    """The member y^2 = x^3 + s of the parameterized family (s != 0)."""
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0 gives a singular cubic")
-    return WeierstrassCurve(Fraction(0), Fraction(0), Fraction(0), Fraction(0), s)
+    """The member y^2 = x^3 + s of the parameterized family; s = 0 is singular
+    (SingularCurveError, from the curve's own discriminant check)."""
+    return WeierstrassCurve(0, 0, 0, 0, s)
 
 
 def _require_tame_prime(p: int) -> None:

@@ -10,7 +10,8 @@ stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
 without a row is refused (NotTabulatedError) rather than extrapolated. The
 p-adic ball covers in the cover module read the same rows. At p >= 5
 reduction is tame (Serre-Tate) and the group follows from the valuation of
-the minimal discriminant.
+the minimal discriminant. In family_report every rule takes v_p(s) from the
+one factorization in bad_primes; it computes no valuation of its own.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -139,16 +140,18 @@ class DegreeReport:
         return None
 
 
-def _family_group(p: int, s: Rational) -> MonodromyGroup:
-    """The group of y^2 = x^3 + s at p in {2, 3}, read off FAMILY_TABLES.
+def _nonzero_parameter(s: Rational) -> Fraction:
+    """s as a Fraction; SingularCurveError when s = 0, a singular cubic."""
+    if (s := Fraction(s)) == 0:
+        raise SingularCurveError("s = 0")
+    return s
 
-    With v = v_p(s) and row v = (d, groups), s = p^v * u gives
+
+def _family_group(p: int, s: Fraction, v: int) -> MonodromyGroup:
+    """The group of y^2 = x^3 + s != 0 at p in {2, 3}, given v = v_p(s), read
+    off FAMILY_TABLES. With row v = (d, groups), s = p^v * u gives
     s mod p^(v + d) = p^v * (u mod p^d), so the unit part is never built.
     """
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0")
-    v = valuation(s, p)
     rows = FAMILY_TABLES[p]
     if not 0 <= v < len(rows):
         raise NotTabulatedError(
@@ -165,7 +168,8 @@ def phi_family_at_3(s: Rational) -> MonodromyGroup:
     v3(s) = 3, s = 27u: C4 when u = +-1 mod 9, else Dic3. Congruences of a
     rational unit are taken on its image in the 3-adic units mod 9.
     """
-    return _family_group(3, s)
+    s = _nonzero_parameter(s)
+    return _family_group(3, s, valuation(s, 3))
 
 
 def phi_family_at_2(s: Rational) -> MonodromyGroup:
@@ -174,7 +178,8 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     v2(s) = 0: C3 when s = 1 mod 4, else C6. v2(s) = 1: C2. v2(s) = 2:
     C3 when s/4 = -1 mod 4, else SL2(F3).
     """
-    return _family_group(2, s)
+    s = _nonzero_parameter(s)
+    return _family_group(2, s, valuation(s, 2))
 
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
@@ -223,14 +228,12 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
 
 
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
-    """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s): the tables at
-    2 and 3, the closed-form tame rule at p >= 5: order 6 / gcd(v, 6), which
-    is phi_tame on the model minimalized at p (s rescaled by a 6th power of
-    p, negative valuations too), whose v_p(delta_min) is 2 * (v mod 6)."""
-    if p == 2:
-        return LocalMonodromyResult(2, phi_family_at_2(s), "family-table-2")
-    if p == 3:
-        return LocalMonodromyResult(3, phi_family_at_3(s), "family-table-3")
+    """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
+    the v that bad_primes read): the table rows at 2 and 3, else the tame rule
+    order 6 / gcd(v, 6), phi_tame on the model minimalized at p (s rescaled by
+    a 6th power of p, v < 0 too), whose v_p(delta_min) is 2 * (v mod 6)."""
+    if p in FAMILY_TABLES:
+        return LocalMonodromyResult(p, _family_group(p, s, v), f"family-table-{p}")
     return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(v, 6)])
 
 
@@ -288,9 +291,7 @@ def family_report(s: Rational) -> DegreeReport:
     Primes outside the tabulated ranges are refused as data; the degree is
     then None.
     """
-    s = Fraction(s)
-    if s == 0:
-        raise SingularCurveError("s = 0")
+    s = _nonzero_parameter(s)
     return _degree_report(
         s, [_or_refusal(p, _phi_family, s, p, v) for p, v in bad_primes(s).items()]
     )

@@ -459,7 +459,7 @@ class TestGalois:
         def broken(closure, sub, reps):
             raise TheoremViolationError("routes disagree")
 
-        monkeypatch.setattr(semistab.galois, "classify_point", broken)
+        monkeypatch.setattr(semistab.cli, "classify_point", broken)
         code, out, err = run(
             capsys, "galois", "--degree", "3", "--gens", "(1 2);(1 2 3)",
             "--check-all", "--json",

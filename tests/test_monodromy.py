@@ -475,6 +475,13 @@ class TestOneFactorizationRoutes:
         for _ in range(2_000):
             num = rng.choice((-1, 1)) * rng.randint(1, 10**7)
             yield Fraction(num, rng.randint(1, 10**5))
+        # every v2, v3 stratum, tabulated and refused, negative ones included
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                for u in (1, 5, 7, 11):
+                    s = Fraction(2) ** a * Fraction(3) ** b * u
+                    yield s
+                    yield -s
 
     def test_family_report_matches_valuation_route(self):
         for s in self._family_parameters():
@@ -482,6 +489,30 @@ class TestOneFactorizationRoutes:
             locals_, degree = valuation_route_family_report(s)
             assert [(e.p, e.group, e.provenance) for e in report.locals] == locals_, s
             assert report.degree == degree, s
+
+    def test_family_report_computes_no_valuation(self, monkeypatch):
+        # bad_primes reads v_p(s) off its factorization; every per-prime rule
+        # takes that v instead of calling valuation again.
+        calls = []
+
+        def counted(x, p):
+            calls.append((x, p))
+            return valuation(x, p)
+
+        monkeypatch.setattr("semistab.monodromy.valuation", counted)
+        rng = random.Random(1500)
+        params = [Fraction(sign * n) for n in range(1, 2_001) for sign in (1, -1)]
+        params += [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**7), rng.randint(1, 10**5))
+            for _ in range(500)
+        ]
+        for s in params:
+            family_report(s)
+        assert calls == []
+        # the public rules still compute their own valuation
+        phi_family_at_2(12)
+        phi_family_at_3(12)
+        assert calls == [(12, 2), (12, 3)]
 
     def test_bad_primes_carry_signed_valuations(self):
         rng = random.Random(6)
