@@ -11,6 +11,11 @@ a version header, suppressible with --plain.
 The per-prime monodromy and the degree come from monodromy.family_report and
 monodromy.curve_report; this module only serializes them. `sweep` computes
 its records serially: --threads is accepted and has no effect.
+
+main builds the top-level parser and only the subcommand parser that argv
+names (argv[0], or argv[1] after an exact --plain). Any other argv, such as
+help, no command, an abbreviation or an unknown word, gets the full parser
+with all six. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -422,7 +427,18 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("minkowski", "curve", "cover", "sweep", "galois", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser and every subcommand parser, or only ``command``'s.
+
+    main passes the command that argv names (named_command); help, errors and
+    abbreviations get the full parser. Either way the usage line lists all six
+    commands. Only the one-command parser sets that metavar: argparse names
+    the positional by it in its "required: command" and "invalid choice"
+    errors, which only the full parser can print.
+    """
     parser = argparse.ArgumentParser(
         prog="semistab",
         description=(
@@ -434,67 +450,82 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plain", action="store_true", help="suppress the version header line"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p_mink = sub.add_parser("minkowski", help="Minkowski bound table")
-    p_mink.add_argument("--g", type=int, required=True, help="max dimension g")
-    p_mink.add_argument("--gl-mod", type=int, default=12, dest="gl_mod")
-    p_mink.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_mink.set_defaults(func=cmd_minkowski)
+    if command in (None, "minkowski"):
+        p_mink = sub.add_parser("minkowski", help="Minkowski bound table")
+        p_mink.add_argument("--g", type=int, required=True, help="max dimension g")
+        p_mink.add_argument("--gl-mod", type=int, default=12, dest="gl_mod")
+        p_mink.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        p_mink.set_defaults(func=cmd_minkowski)
 
-    p_curve = sub.add_parser("curve", help="monodromy and degree of one curve")
-    group = p_curve.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--s",
-        help="family parameter (integer or num/den); a negative num/den "
-        "needs '=', as in --s=-1/2",
-    )
-    group.add_argument(
-        "--a",
-        help="a1,a2,a3,a4,a6 of a Weierstrass equation; a list that starts "
-        "with '-' needs '=', as in --a=-1,0,0,0,1",
-    )
-    p_curve.add_argument("--json", action="store_true")
-    p_curve.set_defaults(func=cmd_curve)
+    if command in (None, "curve"):
+        p_curve = sub.add_parser("curve", help="monodromy and degree of one curve")
+        group = p_curve.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--s",
+            help="family parameter (integer or num/den); a negative num/den "
+            "needs '=', as in --s=-1/2",
+        )
+        group.add_argument(
+            "--a",
+            help="a1,a2,a3,a4,a6 of a Weierstrass equation; a list that starts "
+            "with '-' needs '=', as in --a=-1,0,0,0,1",
+        )
+        p_curve.add_argument("--json", action="store_true")
+        p_curve.set_defaults(func=cmd_curve)
 
-    p_cover = sub.add_parser("cover", help="p-adic ball decomposition")
-    p_cover.add_argument("--p", type=int, required=True)
-    p_cover.add_argument("--min-val", type=int, required=True, dest="min_val")
-    p_cover.add_argument("--max-val", type=int, required=True, dest="max_val")
-    p_cover.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_cover.set_defaults(func=cmd_cover)
+    if command in (None, "cover"):
+        p_cover = sub.add_parser("cover", help="p-adic ball decomposition")
+        p_cover.add_argument("--p", type=int, required=True)
+        p_cover.add_argument("--min-val", type=int, required=True, dest="min_val")
+        p_cover.add_argument("--max-val", type=int, required=True, dest="max_val")
+        p_cover.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        p_cover.set_defaults(func=cmd_cover)
 
-    p_sweep = sub.add_parser("sweep", help="batch-evaluate integer parameters")
-    p_sweep.add_argument("--from", type=int, required=True, dest="start")
-    p_sweep.add_argument("--to", type=int, required=True, dest="stop")
-    p_sweep.add_argument("--step", type=int, default=1)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; records are computed serially",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
+    if command in (None, "sweep"):
+        p_sweep = sub.add_parser("sweep", help="batch-evaluate integer parameters")
+        p_sweep.add_argument("--from", type=int, required=True, dest="start")
+        p_sweep.add_argument("--to", type=int, required=True, dest="stop")
+        p_sweep.add_argument("--step", type=int, default=1)
+        p_sweep.add_argument("--out", required=True)
+        p_sweep.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; records are computed serially",
+        )
+        p_sweep.set_defaults(func=cmd_sweep)
 
-    p_galois = sub.add_parser("galois", help="Galois closure of a finite cover")
-    p_galois.add_argument("--degree", type=int, required=True)
-    p_galois.add_argument(
-        "--gens", required=True, help="generators in cycle notation, ';'-separated"
-    )
-    p_galois.add_argument("--check-all", action="store_true", dest="check_all")
-    p_galois.add_argument("--json", action="store_true")
-    p_galois.set_defaults(func=cmd_galois)
+    if command in (None, "galois"):
+        p_galois = sub.add_parser("galois", help="Galois closure of a finite cover")
+        p_galois.add_argument("--degree", type=int, required=True)
+        p_galois.add_argument(
+            "--gens", required=True, help="generators in cycle notation, ';'-separated"
+        )
+        p_galois.add_argument("--check-all", action="store_true", dest="check_all")
+        p_galois.add_argument("--json", action="store_true")
+        p_galois.set_defaults(func=cmd_galois)
 
-    p_verify = sub.add_parser("verify", help="run the pinned regression checks")
-    p_verify.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        p_verify = sub.add_parser("verify", help="run the pinned regression checks")
+        p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+def named_command(argv: list[str]) -> str | None:
+    """The command argparse will read from argv: argv[0], or argv[1] after
+    an exact --plain. None for anything else (help, no command, an
+    abbreviation, '--', an unknown word)."""
+    i = 1 if argv[:1] == ["--plain"] else 0
+    return argv[i] if i < len(argv) and argv[i] in COMMANDS else None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(named_command(argv)).parse_args(argv)
     try:
         return args.func(args)
     except NotTabulatedError as exc:

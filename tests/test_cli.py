@@ -3,10 +3,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import semistab.cli
 import semistab.curves
 import semistab.galois
+import semistab.monodromy
 from semistab import __version__
 from semistab.cli import main
 from semistab.errors import TheoremViolationError
@@ -480,10 +483,20 @@ class TestVerify:
 
 
 class TestArgparse:
+    # The full parser names the command positional "command" in these errors.
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert "error: argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_missing_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: command\n"
+        )
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -600,3 +613,148 @@ class TestFuzzMain:
                 code = exc.code
         assert code in {0, 1, 2, 3, 4, 141}, argv
 
+
+
+# Each case is parsed by the parser main builds for it and by the full one.
+# They cover help, errors, --plain, abbreviations and '--'; the lines that
+# reach the top-level parser's usage after a command (an unrecognized
+# argument) fail if the one-command parser's usage names only its command.
+PARITY_ARGV = [
+    [], ["-h"], ["--help"], ["--plain"], ["--plain", "-h"], ["-h", "curve"],
+    ["--pl", "curve", "--s", "1"], ["--p", "curve", "--s", "1"], ["--plain=1", "curve"],
+    ["--plain", "--plain", "curve", "--s", "1"], ["--json", "curve", "--s", "1"],
+    ["--", "curve", "--s", "1"], ["frobnicate"], ["--plain", "frobnicate"],
+    ["CURVE", "--s", "1"], ["curv", "--s", "1"],
+    ["curve"], ["curve", "--s"], ["curve", "--json"], ["curve", "-h"], ["--plain", "curve", "-h"],
+    ["curve", "--s", "1", "-h"], ["curve", "--s", "1"], ["curve", "--s", "1", "--json"],
+    ["--plain", "curve", "--s", "1"], ["curve", "--s", "1", "--plain"],
+    ["curve", "--s", "1", "--js"], ["curve", "--s", "1", "--a", "0,0,0,1,1"],
+    ["curve", "--s=-1/2", "--json"], ["curve", "--a", "0,0,0,1,1", "--json"],
+    ["curve", "--s", "1", "--bogus"], ["curve", "--", "--s", "1"],
+    ["minkowski"], ["minkowski", "--g", "3"], ["minkowski", "--g", "x"],
+    ["minkowski", "--g", "3", "--format", "xml"],
+    ["cover", "--p", "2", "--min-val", "0", "--max-val", "2"], ["cover", "--p", "2"],
+    ["sweep", "--from", "1"], ["--plain", "sweep", "--from", "1", "--to", "9", "--out", "x"],
+    ["galois", "--degree", "3", "--gens", "(1 2 3)"],
+    ["galois", "--degree", "4", "--gens", "(1 2);(1 2 3 4)", "--check-all", "--json"],
+    ["--plain", "verify"], ["verify", "extra"], ["--plain", "sweep", "-h"],
+] + [
+    [command, "--help"]
+    for command in ("minkowski", "curve", "cover", "sweep", "galois", "verify")
+]
+
+
+def _parse(command, argv):
+    """What build_parser(command) makes of argv: the namespace, or the exit
+    code; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(semistab.cli.build_parser(command).parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parity(argv):
+    command = semistab.cli.named_command(argv)
+    assert _parse(command, argv) == _parse(None, argv), argv
+
+
+# Tokens that move argv off the one-command path, or into an error.
+_STRAY_TOKENS = ["-h", "--help", "--plain", "--pl", "--", "frobnicate", "--js", "--s", "-x"]
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+    def test_one_command_parser_parses_like_the_full_one(self, argv):
+        _assert_parity(argv)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fuzzed_argv(self, tmp_path, data):
+        argv = data.draw(_argv(tmp_path / "sweep.jsonl"))
+        if data.draw(st.booleans()):
+            argv = ["--plain"] + argv
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(argv)))
+            argv.insert(at, data.draw(st.sampled_from(_STRAY_TOKENS)))
+        _assert_parity(argv)
+
+
+class TestParserConstruction:
+    @staticmethod
+    def parsers_built(monkeypatch, argv):
+        """The progs of the parsers main(argv) constructs."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        return built
+
+    def test_named_command_builds_two(self, monkeypatch, tmp_path):
+        assert len(self.parsers_built(monkeypatch, ["curve", "--s", "1", "--json"])) == 2
+        sweep = ["--plain", "sweep", "--from", "1", "--to", "5", "--out", str(tmp_path / "o")]
+        assert len(self.parsers_built(monkeypatch, sweep)) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], [], ["frobnicate"], ["--pl", "curve", "--s", "1"]], ids=" ".join
+    )
+    def test_other_argv_builds_all_seven(self, monkeypatch, argv):
+        assert len(self.parsers_built(monkeypatch, argv)) == 7
+
+
+class TestCurveLargeShape:
+    """Seeded `curve --json` calls in the benchmark's proportions (60% --s=N,
+    20% --s=num/den, 20% short-form --a).
+    The short-form coefficients have the benchmark's sizes; |s| stays at or
+    below 10^15, where rho is cheap. Each call prints one JSON object that
+    agrees with its exit code and, for the family, with the library."""
+
+    @staticmethod
+    def inputs(rng, count):
+        def sign():
+            return rng.choice((1, -1))
+
+        for _ in range(count):
+            r = rng.random()
+            if r < 0.2:
+                while True:
+                    a4, a6 = sign() * rng.randrange(1, 10**6), sign() * rng.randrange(1, 10**9)
+                    if 4 * a4**3 + 27 * a6**2 != 0:
+                        break
+                yield ["curve", "--a", f"0,0,0,{a4},{a6}", "--json"], None
+            elif r < 0.4:
+                den = rng.randrange(2, 1000)
+                num = sign() * rng.randrange(1, 10**15 + 1)
+                yield ["curve", f"--s={num}/{den}", "--json"], Fraction(num, den)
+            else:
+                num = sign() * rng.randrange(1, 10**15 + 1)
+                yield ["curve", f"--s={num}", "--json"], Fraction(num)
+
+    def test_each_call_prints_one_consistent_object(self, capsys):
+        for argv, s in self.inputs(random.Random(17), 200):
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 3), argv
+            assert out.count("\n") == 1, argv
+            data = json.loads(out)
+            assert isinstance(data, dict), argv
+            refused = [m for m in data["monodromy"] if m["group"] is None]
+            assert bool(refused) == (code == 3), argv
+            if code == 0 and s is not None:
+                degree = semistab.monodromy.semistability_degree(s).degree
+                assert data["degree"] == degree and 24 % degree == 0, argv
