@@ -9,8 +9,9 @@ All data output is deterministic for fixed flags; the only non-data line is
 a version header, suppressible with --plain.
 
 The per-prime monodromy and the degree come from monodromy.family_report and
-monodromy.curve_report; this module only serializes them. `sweep` computes
-its records serially: --threads is accepted and has no effect.
+monodromy.curve_report; this module only serializes them, `sweep`'s ball
+labels at 2 and 3 too (the balls on those results). `sweep` computes its
+records serially: --threads is accepted and has no effect.
 
 main builds the top-level parser and only the subcommand parser that argv
 names (argv[0], or argv[1] after an exact --plain). Any other argv, such as
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import parse_rational
-from .cover import CoverReport, enumerate_cover, locate
+from .cover import CoverReport, _ball_label, enumerate_cover
 from .curves import WeierstrassCurve, compute_invariants, family_curve
 from .errors import (
     InvalidInputError,
@@ -235,22 +236,22 @@ def cmd_cover(args) -> int:
     return EXIT_OK
 
 
-def sweep_record(s: int, covers: dict[int, CoverReport]) -> dict:
+def sweep_record(s: int) -> dict:
+    """family_report(s) as one sweep line; ball_ids labels the ball of s at 2
+    and 3 that the group was read off, None where that prime is refused."""
     record: dict = {"s": str(s)}
     if s == 0:
         record.update(degree=None, locals=[], ball_ids=None, note="singular")
         return record
-    ball_ids = {}
-    for p, report in covers.items():
-        try:
-            ball_ids[str(p)] = locate(s, report).label()
-        except NotTabulatedError:
-            ball_ids[str(p)] = None
     report = family_report(s)
     record.update(
         degree=report.degree,
         locals=[local_data(entry) for entry in report.locals],
-        ball_ids=ball_ids,
+        ball_ids={
+            str(entry.p): entry.ball and _ball_label(entry.p, *entry.ball)
+            for entry in report.locals
+            if entry.p in FAMILY_TABLES
+        },
     )
     if report.degree is None:
         record["note"] = "not-tabulated"
@@ -269,9 +270,6 @@ def cmd_sweep(args) -> int:
     """
     if args.step == 0:
         raise InvalidInputError("--step must not be 0")
-    covers = {
-        p: enumerate_cover(p, (0, len(rows) - 1)) for p, rows in FAMILY_TABLES.items()
-    }
     values = range(args.start, args.stop + 1, args.step)
     pending = iter(values if args.step > 0 else reversed(values))
     records = 0
@@ -280,7 +278,7 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.out, "w") as fh:
             while block := [
-                sweep_record(s, covers) for s in itertools.islice(pending, SWEEP_BLOCK)
+                sweep_record(s) for s in itertools.islice(pending, SWEEP_BLOCK)
             ]:
                 for record in block:
                     fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -11,14 +11,14 @@ every element of center + p^k Z_p automatically shares the center's
 valuation; the stratum is readable off the center. All balls of a stratum
 share one modulus exponent.
 
-`locate` is one indexed lookup, not a scan over the balls: it computes
-v = v_p(s) once, takes stratum v's exponent k and looks up the ball keyed by
-(v, s mod p^k) in an index kept on the CoverReport. Building that index is
-also the exact-cover check, stated on the balls: each stratum v in range has
-one modulus exponent k, no center twice, and (p - 1) * p^(k - v - 1) balls,
-the number of units mod p^(k - v). A ball's center is reduced mod p^k and has
-valuation v < k, so distinct centers with one modulus are disjoint balls,
-and that many of them are every class u * p^v mod p^k: the stratum exactly.
+`locate` reads the center of s off its table row with monodromy._family_ball,
+the lookup that builds the balls too, and takes the ball keyed by (v, center)
+from an index kept on the CoverReport. Building that index is the exact-cover
+check, stated on the balls: each stratum v in range has one modulus exponent
+k, no center twice, and (p - 1) * p^(k - v - 1) balls, the number of units
+mod p^(k - v). A ball's center is reduced mod p^k and has valuation v < k, so
+distinct centers with one modulus are disjoint balls, and that many of them
+are every class u * p^v mod p^k: the stratum exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ from functools import cached_property
 
 from .arith import INFINITY, Rational, is_prime, residue, valuation
 from .errors import InvalidInputError, NotTabulatedError, TheoremViolationError
-from .monodromy import FAMILY_TABLES, MonodromyGroup
+from .monodromy import FAMILY_TABLES, MonodromyGroup, _family_ball
+
+
+def _ball_label(p: int, center: int, k: int) -> str:
+    return f"{center}+{p}^{k}"
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class PadicBall:
         return residue(x, modulus) == self.center
 
     def label(self) -> str:
-        return f"{self.center}+{self.p}^{self.modulus_exponent}"
+        return _ball_label(self.p, self.center, self.modulus_exponent)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class CoverReport:
         return sorted(counts.items(), key=lambda kv: kv[0].order)
 
     @cached_property
-    def _index(self) -> tuple[dict[int, int], dict[tuple[int, int], PadicBall]]:
-        """Modulus exponent per stratum, and ball per (stratum, center).
+    def _index(self) -> dict[tuple[int, int], PadicBall]:
+        """The ball per (stratum, center).
 
         Raises TheoremViolationError unless the balls cover each stratum in
         range exactly: one modulus exponent k, no center twice, and
@@ -109,17 +113,7 @@ class CoverReport:
                     f"stratum {v} at {p} has {counts.get(v, 0)} balls "
                     f"mod {p}^{k}, not {units}"
                 )
-        return exponents, by_center
-
-
-def _stratum_balls(p: int, v: int) -> list[PadicBall]:
-    """The balls u * p^v + p^(v + d) Z_p of the row FAMILY_TABLES[p][v] =
-    (d, {u: group}), one per entry."""
-    d, groups = FAMILY_TABLES[p][v]
-    return [
-        PadicBall(p=p, center=u * p**v, modulus_exponent=v + d, group=group)
-        for u, group in groups.items()
-    ]
+        return by_center
 
 
 def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
@@ -143,11 +137,12 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
         raise NotTabulatedError(
             f"valuation range {lo}..{hi} outside tabulated 0..{top}"
         )
-    balls: list[PadicBall] = []
-    for v in range(lo, hi + 1):
-        balls.extend(_stratum_balls(p, v))
-    balls.sort(key=lambda b: (b.stratum, b.center))
-    report = CoverReport(p=p, valuation_range=(lo, hi), balls=tuple(balls))
+    balls = tuple(
+        PadicBall(p, *_family_ball(p, u * p**v, v))
+        for v in range(lo, hi + 1)
+        for u in sorted(FAMILY_TABLES[p][v][1])
+    )
+    report = CoverReport(p=p, valuation_range=(lo, hi), balls=balls)
     report._index  # builds the index, which checks the cover
     return report
 
@@ -161,9 +156,9 @@ def locate(s: Rational, report: CoverReport) -> PadicBall:
         raise NotTabulatedError(
             f"v_{p}(s) = {v} outside report range {lo}..{hi}"
         )
-    exponents, by_center = report._index
-    ball = by_center.get((v, residue(s, p ** exponents.get(v, 0))))
-    if ball is None:
+    center, k, _ = _family_ball(p, s, v)
+    ball = report._index.get((v, center))
+    if ball is None or ball.modulus_exponent != k:
         raise TheoremViolationError(
             f"{Fraction(s)} escaped every ball of the cover at {p}"
         )

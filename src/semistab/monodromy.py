@@ -7,8 +7,9 @@ the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
-without a row is refused (NotTabulatedError) rather than extrapolated. The
-p-adic ball covers in the cover module read the same rows. At p >= 5
+without a row is refused (NotTabulatedError) rather than extrapolated. One
+lookup, _family_ball, reads the p-adic ball of s and its group off a row, for
+the rules here and for the cover module's balls and locate. At p >= 5
 reduction is tame (Serre-Tate) and the group follows from the valuation of
 the minimal discriminant. In family_report every rule takes v_p(s) from the
 one factorization in bad_primes; it computes no valuation of its own.
@@ -105,6 +106,8 @@ class LocalMonodromyResult:
     # family-table-2 | family-table-3 | tame-rule | good-reduction, or the
     # NotTabulatedError text when group is None
     provenance: str
+    # (center, k): the ball center + p^k Z_p of s a family table read, else None
+    ball: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.group is None:
@@ -147,10 +150,10 @@ def _nonzero_parameter(s: Rational) -> Fraction:
     return s
 
 
-def _family_group(p: int, s: Fraction, v: int) -> MonodromyGroup:
-    """The group of y^2 = x^3 + s != 0 at p in {2, 3}, given v = v_p(s), read
-    off FAMILY_TABLES. With row v = (d, groups), s = p^v * u gives
-    s mod p^(v + d) = p^v * (u mod p^d), so the unit part is never built.
+def _family_ball(p: int, s: Rational, v: int) -> tuple[int, int, MonodromyGroup]:
+    """The ball center + p^k Z_p of s != 0 at p in {2, 3}, given v = v_p(s), and
+    its group, as (center, k, group): row v = (d, groups) of FAMILY_TABLES has
+    k = v + d, and s = p^v * u has center p^v * (u mod p^d), so u is never built.
     """
     rows = FAMILY_TABLES[p]
     if not 0 <= v < len(rows):
@@ -158,7 +161,10 @@ def _family_group(p: int, s: Fraction, v: int) -> MonodromyGroup:
             f"v{p}(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
     d, groups = rows[v]
-    return groups[residue(s, p ** (v + d)) // p**v]
+    center = residue(s, p ** (v + d))
+    if (group := groups.get(center // p**v)) is None:
+        raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
+    return center, v + d, group
 
 
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
@@ -169,7 +175,7 @@ def phi_family_at_3(s: Rational) -> MonodromyGroup:
     rational unit are taken on its image in the 3-adic units mod 9.
     """
     s = _nonzero_parameter(s)
-    return _family_group(3, s, valuation(s, 3))
+    return _family_ball(3, s, valuation(s, 3))[2]
 
 
 def phi_family_at_2(s: Rational) -> MonodromyGroup:
@@ -179,7 +185,7 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     C3 when s/4 = -1 mod 4, else SL2(F3).
     """
     s = _nonzero_parameter(s)
-    return _family_group(2, s, valuation(s, 2))
+    return _family_ball(2, s, valuation(s, 2))[2]
 
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
@@ -229,11 +235,12 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
 
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
-    the v that bad_primes read): the table rows at 2 and 3, else the tame rule
+    the v that bad_primes read): _family_ball at 2 and 3, else the tame rule
     order 6 / gcd(v, 6), phi_tame on the model minimalized at p (s rescaled by
     a 6th power of p, v < 0 too), whose v_p(delta_min) is 2 * (v mod 6)."""
     if p in FAMILY_TABLES:
-        return LocalMonodromyResult(p, _family_group(p, s, v), f"family-table-{p}")
+        center, k, group = _family_ball(p, s, v)
+        return LocalMonodromyResult(p, group, f"family-table-{p}", (center, k))
     return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(v, 6)])
 
 

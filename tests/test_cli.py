@@ -285,6 +285,34 @@ class TestCover:
         assert err.startswith("error: ") and "not prime" in err
 
 
+class TestMissingUnitClass:
+    """A table row without one of its unit classes is an internal error
+    (exit 4) at the first s that lands in it, not a traceback."""
+
+    @pytest.fixture
+    def gap_at_4(self, monkeypatch):
+        # s = 4 has v3 = 0 and 4 mod 9 = 4: drop that class from row 0 at 3.
+        rows = semistab.monodromy.FAMILY_TABLES[3]
+        d, groups = rows[0]
+        gap = {u: group for u, group in groups.items() if u != 4}
+        monkeypatch.setitem(
+            semistab.monodromy.FAMILY_TABLES, 3, ((d, gap),) + rows[1:]
+        )
+
+    def test_curve(self, capsys, gap_at_4):
+        code, out, err = run(capsys, "curve", "--s", "4")
+        assert (code, out) == (4, "")
+        assert err == "internal error: 4 escaped every ball of the cover at 3\n"
+
+    def test_sweep(self, capsys, gap_at_4, tmp_path):
+        out_file = tmp_path / "gap.jsonl"
+        code, out, err = run(
+            capsys, "sweep", "--from", "4", "--to", "4", "--out", str(out_file)
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ")
+
+
 class TestSweep:
     def test_small_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.jsonl"
@@ -363,7 +391,7 @@ class TestSweep:
     def test_unwritable_output_refused_before_any_record(
         self, capsys, monkeypatch, tmp_path
     ):
-        def never(s, covers):
+        def never(s):
             raise AssertionError("a record was computed")
 
         monkeypatch.setattr(semistab.cli, "sweep_record", never)

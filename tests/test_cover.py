@@ -285,6 +285,19 @@ class TestLocate:
         with pytest.raises(TheoremViolationError, match="different moduli"):
             locate(2, CoverReport(3, (0, 0), balls))
 
+    def test_report_split_unlike_the_table_refused(self):
+        # locate takes the center of s from the table (mod 2^2 at v2 = 0);
+        # an exact cover of that stratum mod 2^3 has a ball 1 + 2^3 Z_2, which
+        # does not hold s = 5.
+        balls = tuple(
+            PadicBall(p=2, center=c, modulus_exponent=3, group=phi_family_at_2(c))
+            for c in (1, 3, 5, 7)
+        )
+        report = CoverReport(2, (0, 0), balls)
+        assert len(report._index) == 4
+        with pytest.raises(TheoremViolationError, match="escaped every ball"):
+            locate(5, report)
+
     def test_out_of_range(self, reports):
         with pytest.raises(NotTabulatedError):
             locate(8, reports[2])

@@ -1,10 +1,15 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import semistab.arith
+import semistab.cover
 from semistab.arith import factorize, residue, valuation
+from semistab.cli import main
+from semistab.cover import enumerate_cover, locate
 from semistab.curves import (
     WeierstrassCurve,
     compute_invariants,
@@ -19,6 +24,7 @@ from semistab.errors import (
     UnsupportedPrimeError,
 )
 from semistab.monodromy import (
+    FAMILY_TABLES,
     MonodromyGroup,
     _degree_report,
     bad_primes,
@@ -513,6 +519,57 @@ class TestOneFactorizationRoutes:
         phi_family_at_2(12)
         phi_family_at_3(12)
         assert calls == [(12, 2), (12, 3)]
+
+    def test_sweep_computes_no_valuation_and_no_cover(self, monkeypatch, tmp_path):
+        # A sweep record's ball labels ride on family_report's results, read
+        # with the v that bad_primes read: no valuation, cover or locate.
+        originals = {
+            "valuation": semistab.arith.valuation,
+            "locate": semistab.cover.locate,
+            "enumerate_cover": semistab.cover.enumerate_cover,
+        }
+        calls = dict.fromkeys(originals, 0)
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] != "semistab":
+                continue
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        out = str(tmp_path / "sweep.jsonl")
+        assert main(["sweep", "--from", "700000", "--to", "700099", "--out", out]) == 0
+        assert calls == dict.fromkeys(originals, 0)
+        # the wrappers are in place: the cover's own route is counted
+        semistab.cover.locate(10, semistab.cover.enumerate_cover(3, (0, 4)))
+        assert calls["locate"] == calls["enumerate_cover"] == 1
+        assert calls["valuation"] > 0
+
+    def test_ball_matches_locate_route(self):
+        # The route sweep took before the ball rode on the local results:
+        # locate on the full cover at p, None where locate refuses s.
+        covers = {
+            p: enumerate_cover(p, (0, len(rows) - 1))
+            for p, rows in FAMILY_TABLES.items()
+        }
+        for s in self._family_parameters():
+            report = family_report(s)
+            for p, cover in covers.items():
+                try:
+                    ball = locate(s, cover)
+                except NotTabulatedError:
+                    expected = None
+                else:
+                    assert ball.contains(s), (s, p)
+                    expected = (ball.center, ball.modulus_exponent)
+                assert report.local_at(p).ball == expected, (s, p)
+            assert all(e.ball is None for e in report.locals if e.p not in covers)
 
     def test_bad_primes_carry_signed_valuations(self):
         rng = random.Random(6)
