@@ -1,7 +1,11 @@
 """Exact integer/rational helpers: primes, factorization, p-adic valuations.
 
 All arithmetic is on Python ints and fractions.Fraction; nothing here ever
-touches floating point.
+touches floating point. Every answer is exact or refused: is_prime is
+Miller-Rabin to a base set proven deterministic for the size of n, and
+raises SizeLimitError where none is proven (from about 3.3e24 up) rather
+than guess; factorize trial-divides by blocks of primes below 10^4, one gcd
+per block, and splits what is left by Pollard rho within a fixed budget.
 """
 
 from __future__ import annotations
@@ -31,29 +35,70 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+#: The Miller-Rabin bases: the first 13 primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: (psi_k, the first k primes): Miller-Rabin to these k bases is proven
+#: deterministic below psi_k, the least strong pseudoprime to all of them
+#: (OEIS A014233). k = 8, 10 and 11 are left out: their bounds are those of
+#: 7, 9 and 9.
+_MR_TABLE = tuple(
+    (bound, _MR_BASES[:k])
+    for bound, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )
+)
+
+#: The product of the bases; a common factor with n settles n at once.
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit (and larger) inputs."""
+    """Deterministic Miller-Rabin, proven below 3,317,044,064,679,887,385,961,981.
+
+    n below psi_k (_MR_TABLE, OEIS A014233) is tested to the first k primes
+    as bases, the fewest proven deterministic there: 2 to 4 bases for n from
+    10^4 to 10^9, 9 from 3.4e14 to 3.8e18, 13 (2..41) from 3.2e23 to the
+    last bound psi_13, about 3.3e24. From psi_13 up no base set is proven:
+    False is still exact (a base witnesses that n is composite), but an n
+    that passes all 13 bases raises SizeLimitError naming its bit length
+    rather than be called prime.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # These witnesses are a proven deterministic set below 3.3e24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
+    for bound, bases in _MR_TABLE:
+        if n < bound:
+            break
+    # Past the loop without a break, bases are all 13 and n >= bound.
+    for a in bases:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
+    if n >= bound:
+        raise SizeLimitError(
+            f"is_prime: a {n.bit_length()}-bit number passes Miller-Rabin to "
+            f"the bases 2..41, which proves primality only below {bound}"
+        )
     return True
 
 
@@ -129,6 +174,10 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 #: table lookup in valuation's primality check.
 _TRIAL_BOUND = 10_000
 
+#: factorize tries the trial-division primes this many at a time, by one gcd
+#: with their product.
+_TRIAL_BLOCK = 32
+
 
 @functools.cache
 def _trial_primes() -> tuple[int, ...]:
@@ -136,45 +185,64 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(primes_up_to(_TRIAL_BOUND - 1))
 
 
+@functools.cache
+def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The trial-division primes in runs of _TRIAL_BLOCK, in increasing
+    order, each with its product; built once on first use."""
+    primes = _trial_primes()
+    starts = range(0, len(primes), _TRIAL_BLOCK)
+    blocks = (primes[i : i + _TRIAL_BLOCK] for i in starts)
+    return tuple((math.prod(block), block) for block in blocks)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division by the primes below 10^4 stops once p^2 exceeds what is
-    left, which is then 1 or a prime; Pollard rho with Brent's cycle finding
-    and batched gcds splits a cofactor with no prime factor below 10^4. All
-    rho calls of one factorization share RHO_BUDGET iterations: an input
-    that needs more, such as a semiprime whose smaller factor has more than
-    about 40 bits, is refused with SizeLimitError naming the bit length of
-    the cofactor left unsplit. The keys come out sorted.
+    Trial division runs over the primes below 10^4 in blocks of 32: a block
+    whose product is coprime to what is left is skipped after one gcd, and
+    the others are divided one prime at a time. It stops at the first block
+    whose first prime p has p^2 above what is left, which is then 1 or a
+    prime, as is a rest below 10^8 once every block is done. Pollard rho
+    with Brent's cycle finding and batched gcds splits a larger rest, and
+    is_prime settles each piece. All rho calls of one factorization share
+    RHO_BUDGET iterations: an input that needs more, such as a semiprime
+    whose smaller factor has more than about 40 bits, is refused with
+    SizeLimitError naming the bit length of the cofactor left unsplit. So
+    is a piece from about 3.3e24 up that is_prime cannot prove prime. The
+    keys come out sorted.
     """
     n = abs(n)
     if n == 0:
         raise InvalidInputError("cannot factorize 0")
     factors: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
-            if n > 1:
-                factors[n] = 1
-            return factors
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors[p] = e
-    budget = RHO_BUDGET
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
+    for product, block in _trial_blocks():
+        if block[0] * block[0] > n:
+            break
+        if math.gcd(n, product) == 1:
             continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d, spent = _pollard_rho(m, budget)
-        budget -= spent
-        stack.extend((d, m // d))
-    return dict(sorted(factors.items()))
+        for p in block:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors[p] = e
+    else:
+        if n >= _TRIAL_BOUND * _TRIAL_BOUND:
+            budget = RHO_BUDGET
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if is_prime(m):
+                    factors[m] = factors.get(m, 0) + 1
+                    continue
+                d, spent = _pollard_rho(m, budget)
+                budget -= spent
+                stack.extend((d, m // d))
+            return dict(sorted(factors.items()))
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def valuation(x: Rational, p: int) -> int | float:

@@ -13,6 +13,7 @@ rows of monodromy.FAMILY_TABLES instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,20 +84,24 @@ class ValuationProfile:
 def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     """All derived b/c invariants, discriminant and j of a Weierstrass curve.
 
-    The exact identities 1728*delta = c4^3 - c6^2 and 4*b8 = b2*b6 - b4^2
-    are checked on every call (TheoremViolationError if one fails); a
-    vanishing discriminant raises SingularCurveError.
+    The arithmetic is on plain ints, on the integral model with coefficients
+    a_i u^i, where u is the lcm of the coefficient denominators. Every
+    invariant is isobaric, of weight 2 (b2), 4 (b4, c4), 6 (b6, c6), 8 (b8)
+    or 12 (delta), so an invariant of weight k of the curve is that of the
+    integral model over u^k, and j = c4^3/delta is the same for both. The
+    exact identities 1728*delta = c4^3 - c6^2 and 4*b8 = b2*b6 - b4^2 are
+    checked on every call, on the integral model (TheoremViolationError if
+    one fails); a vanishing discriminant raises SingularCurveError.
     """
-    b2 = curve.a1**2 + 4 * curve.a2
-    b4 = 2 * curve.a4 + curve.a1 * curve.a3
-    b6 = curve.a3**2 + 4 * curve.a6
-    b8 = (
-        curve.a1**2 * curve.a6
-        + 4 * curve.a2 * curve.a6
-        - curve.a1 * curve.a3 * curve.a4
-        + curve.a2 * curve.a3**2
-        - curve.a4**2
+    u = math.lcm(*(a.denominator for a in curve.coefficients))
+    a1, a2, a3, a4, a6 = (
+        a.numerator * u**weight // a.denominator
+        for a, weight in zip(curve.coefficients, (1, 2, 3, 4, 6))
     )
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
     c4 = b2**2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
@@ -107,7 +112,14 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     if 4 * b8 != b2 * b6 - b4**2 or 1728 * delta != c4**3 - c6**2:
         raise TheoremViolationError(f"b/c invariant identities fail for {curve}")
     return CurveInvariants(
-        b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, delta=delta, j=c4**3 / delta
+        b2=Fraction(b2, u**2),
+        b4=Fraction(b4, u**4),
+        b6=Fraction(b6, u**6),
+        b8=Fraction(b8, u**8),
+        c4=Fraction(c4, u**4),
+        c6=Fraction(c6, u**6),
+        delta=Fraction(delta, u**12),
+        j=Fraction(c4**3, delta),
     )
 
 

@@ -33,8 +33,10 @@ class NotTabulatedError(SemistabError):
 
 class SizeLimitError(SemistabError):
     """Input over a fixed work limit: a cover degree or group order above the
-    enumeration limits, or a number whose factorization needs more than
-    factorize's Pollard rho budget."""
+    enumeration limits, a number whose factorization needs more than
+    factorize's Pollard rho budget, or a number from about 3.3e24 up that
+    passes every Miller-Rabin base is_prime has, so that no proven test
+    settles it."""
 
 
 class DisconnectedCoverError(InvalidInputError):

@@ -82,7 +82,10 @@ class TestFactorizeOracle:
 
     @pytest.mark.parametrize(
         "n",
-        [97**2, 97 * 101, 9973**2, 9973 * 10007, 10007**2, 2 * 10007, -2 * 10007],
+        [
+            1, 2, -1, 97**2, 97 * 101, 9973**2, 9973 * 10007, 10007**2,
+            2 * 10007, -2 * 10007,
+        ],
     )
     def test_boundary_values(self, n):
         got = factorize(n)
@@ -92,6 +95,19 @@ class TestFactorizeOracle:
 
 def _is_prime_by_trial_division(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestTrialDivisionEdges:
+    """factorize on products of consecutive primes below 10^4: every pair
+    straddles or shares a block of the trial division, whatever its size."""
+
+    def test_consecutive_prime_pairs(self):
+        primes = [n for n in range(2, 10**4) if _is_prime_by_trial_division(n)]
+        assert _is_prime_by_trial_division(10007)
+        for p, q in zip(primes, primes[1:]):
+            assert factorize(p * q) == {p: 1, q: 1}
+            assert factorize(p * p * q) == {p: 2, q: 1}
+            assert factorize(q * q * 10007) == {q: 2, 10007: 1}
 
 
 def _seeded_primes(count: int, seed: int) -> list[int]:
@@ -155,6 +171,50 @@ class TestRhoBudget:
         monkeypatch.setattr(semistab.arith, "RHO_BUDGET", 16)
         with pytest.raises(SizeLimitError, match=r"92-bit cofactor .* 16 Pollard rho"):
             factorize(MERSENNE_SEMIPRIME)
+
+
+#: OEIS A014233: psi_k, the least strong pseudoprime to all of the first k
+#: prime bases, for k = 1..13.
+PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+
+
+class TestMillerRabinBounds:
+    """is_prime at the bounds below which k Miller-Rabin bases are proven."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pseudoprimes_below_the_last_bound_are_composite(self, k):
+        assert not is_prime(PSI[k - 1])
+
+    def test_last_bound_is_refused(self):
+        with pytest.raises(SizeLimitError, match="82-bit number"):
+            is_prime(PSI[12])
+        with pytest.raises(SizeLimitError, match="82-bit number"):
+            factorize(PSI[12])
+
+    def test_psi_12_is_split(self):
+        assert factorize(PSI[11]) == {399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("bound", sorted(set(PSI)))
+    def test_neighbours_match_trial_division(self, bound):
+        # psi_k is odd, so psi_k +- 1 is even and the oracle is cheap; the
+        # odd neighbours are checked where trial division is.
+        offsets = (-2, -1, 1, 2) if bound < 10**10 else (-1, 1)
+        for n in (bound + offset for offset in offsets):
+            assert is_prime(n) == _is_prime_by_trial_division(n), n
 
 
 def naive_valuation(x: Fraction, p: int):

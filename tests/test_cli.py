@@ -222,6 +222,20 @@ class TestSizeLimit:
         assert b"Pollard rho iterations" in proc.stderr
         assert b"Traceback" not in proc.stderr
 
+    # psi_12 and psi_13 of OEIS A014233, the least strong pseudoprimes to the
+    # bases 2..37 and to 2..41: the first is split, the second, where no
+    # Miller-Rabin base set is proven, refused.
+    def test_strong_pseudoprime_is_split(self, capsys):
+        code, out, _ = run(capsys, "curve", "--s", "318665857834031151167461", "--json")
+        assert code == 0
+        assert json.loads(out)["bad_primes"] == [2, 3, 399165290221, 798330580441]
+
+    def test_unproven_prime_exits_2(self, capsys):
+        code, out, err = run(capsys, "curve", "--s", "3317044064679887385961981", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: is_prime: a 82-bit number passes Miller-Rabin")
+
 
 class TestCover:
     def test_tsv(self, capsys):

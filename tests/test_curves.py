@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from semistab.arith import INFINITY, valuation
 from semistab.curves import (
+    CurveInvariants,
     WeierstrassCurve,
     compute_invariants,
     family_curve,
@@ -75,6 +77,84 @@ class TestInvariants:
             assert inv.c6 == -864 * s
             assert inv.delta == -432 * s**2
             assert inv.j == 0
+
+
+def invariants_by_fractions(a1, a2, a3, a4, a6) -> CurveInvariants:
+    """Reference: the b/c invariants, discriminant and j by the textbook
+    formulas on Fractions, compute_invariants' former route; raises
+    SingularCurveError with its text when delta = 0."""
+    a1, a2, a3, a4, a6 = map(Fraction, (a1, a2, a3, a4, a6))
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    if delta == 0:
+        raise SingularCurveError(
+            "singular curve: " + ",".join(map(str, (a1, a2, a3, a4, a6)))
+        )
+    return CurveInvariants(
+        b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, delta=delta, j=c4**3 / delta
+    )
+
+
+def change_coordinates(a, r, s, t):
+    """The coefficients after x -> x + r, y -> y + s x + t (Silverman,
+    Table III.1.2 with u = 1); the discriminant is unchanged."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s**2,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r**2 - 2 * s * t,
+        a6 + r * a4 + r**2 * a2 + r**3 - t * a3 - t**2 - r * t * a1,
+    )
+
+
+class TestInvariantsOracle:
+    """compute_invariants, on the integral model, against the Fraction
+    formulas: every field, value and type, and the singular-curve text."""
+
+    @staticmethod
+    def coefficient(rng, kind):
+        """Zero one time in five, else a signed integer or a rational with
+        denominator up to 10^3."""
+        if rng.random() < 0.2:
+            return 0
+        num = rng.randint(-(10 ** rng.randint(1, 8)), 10 ** rng.randint(1, 8))
+        return num if kind == "integer" else Fraction(num, rng.randint(1, 1000))
+
+    def test_agrees_with_fraction_formulas(self, rng):
+        kinds = dict.fromkeys(["integer", "rational", "singular"], 0)
+        for _ in range(6000):
+            kind = rng.choice(list(kinds))
+            if kind == "singular":
+                # y^2 = x^3 + a2 x^2 is singular at the origin (a node, or a
+                # cusp at a2 = 0), and stays so under a change of coordinates.
+                node = (0, self.coefficient(rng, "rational"), 0, 0, 0)
+                a = change_coordinates(
+                    node, *(self.coefficient(rng, "rational") for _ in range(3))
+                )
+            else:
+                a = tuple(self.coefficient(rng, kind) for _ in range(5))
+            try:
+                expected = invariants_by_fractions(*a)
+            except SingularCurveError as exc:
+                with pytest.raises(SingularCurveError) as got:
+                    WeierstrassCurve(*a)
+                assert str(got.value) == str(exc)
+                kinds[kind] += 1
+                continue
+            assert kind != "singular", a
+            got = compute_invariants(WeierstrassCurve(*a))
+            for field in dataclasses.fields(CurveInvariants):
+                value = getattr(got, field.name)
+                assert type(value) is Fraction, (a, field.name)
+                assert value == getattr(expected, field.name), (a, field.name)
+            kinds[kind] += 1
+        assert min(kinds.values()) > 1800, kinds
 
 
 class TestMinimalize:
