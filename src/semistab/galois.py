@@ -17,9 +17,11 @@ the parent's Cayley table.
 
 The subgroup lattice is built one conjugacy class at a time: only one
 representative per class is extended, and the rest of the class comes from
-its conjugates (enumerate_subgroups). The classification's covering route
-finds its cells once per conjugacy class and keeps them on the group's
-index (_point_cells).
+its conjugates (enumerate_subgroups), each new representative checked by
+orbit-stabilizer. The classification's covering route rests on a lemma:
+the minimal subgroups that contain a conjugate of I are the conjugates of I.
+Each gIg^-1 contains itself, its proper subgroups are too small to contain
+one, and a subgroup that contains a conjugate c is minimal only if it is c.
 
 The module constants MAX_DEGREE and MAX_GROUP_ORDER bound every closure and
 subgroup lattice; past them a SizeLimitError names the limit. They are read
@@ -270,8 +272,6 @@ class _GroupIndex:
         # order -> the classes of that order, as (number, representative's
         # element numbers)
         self._class_reps: dict[int, list[tuple[int, list[int]]]] = {}
-        # conjugates(mask) of a subgroup I -> route (b)'s cells for I
-        self._cells: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
 
     @staticmethod
     def mask(members) -> int:
@@ -364,6 +364,27 @@ class _GroupIndex:
             self._classes[mask] = number
         return number
 
+    def _check_orbit_stabilizer(self, mask: int, gens: list[int]) -> None:
+        """Raise unless |N_G(R)| * |conjugates(R)| = |G| for R = <gens> = mask.
+
+        g normalizes R when g r g^-1 lies in R for each generator r, read off
+        the Cayley table and the inverses, not off conjugates.
+        """
+        table, inverse = self.table, self.inverse
+        normalizer = 0
+        for row, g_inv in zip(table, inverse):
+            for r in gens:
+                if not mask >> table[row[r]][g_inv] & 1:
+                    break
+            else:
+                normalizer += 1
+        count = len(self.conjugates(mask))
+        if normalizer * count != self.order:
+            raise TheoremViolationError(
+                f"|N_G(R)| = {normalizer} times {count} conjugates of R "
+                f"(order {mask.bit_count()}) is not |G| = {self.order}"
+            )
+
     @functools.cached_property
     def subgroups(self) -> "tuple[Subgroup, ...]":
         """Every subgroup, as enumerate_subgroups describes."""
@@ -383,6 +404,7 @@ class _GroupIndex:
                     tried |= self.mask(self.table[x][h] for h in members)
                     extended = self.close(gens + [x])
                     if extended not in known:
+                        self._check_orbit_stabilizer(extended, gens + [x])
                         known.update(self.conjugates(extended))
                         reps[extended] = gens + [x]
                         nxt.append(extended)
@@ -413,7 +435,9 @@ def enumerate_subgroups(group: PermutationGroup) -> list[Subgroup]:
     reached: it is the last link of a chain <x1> < <x1, x2> < ..., and if
     K = <H, x> and R = gHg^-1 is H's representative, then
     gKg^-1 = <R, gxg^-1> comes out of R's expansion, and K is one of its
-    conjugates. Output is deterministic: sorted by order, then by element
+    conjugates. Each new representative R is checked by orbit-stabilizer,
+    |N_G(R)| * |conjugates(R)| = |G|, and TheoremViolationError is raised
+    when it fails. Output is deterministic: sorted by order, then by element
     set. A group over MAX_GROUP_ORDER elements (possible only for one built
     directly, not by generate) raises SizeLimitError.
     """
@@ -638,29 +662,6 @@ def _generator_mapping_search(
     )
 
 
-def _point_cells(deck: PermutationGroup, I: Subgroup) -> list[Subgroup]:
-    """Route (b)'s cells for I, in enumerate_subgroups order: the minimal
-    subgroups that contain a conjugate of I (see classify_point).
-
-    The cells depend on I only through its conjugates, the same tuple for I
-    and every gIg^-1, so they are found once per conjugacy class and kept
-    on the deck group's index, keyed by that tuple.
-    """
-    index = deck._index
-    conjugates = index.conjugates(I.mask)
-    cells = index._cells.get(conjugates)
-    if cells is None:
-        found: list[Subgroup] = []
-        for H in enumerate_subgroups(deck):
-            outside = ~H.mask
-            if any(c & outside == 0 for c in conjugates) and not any(
-                cell.mask & outside == 0 for cell in found
-            ):
-                found.append(H)
-        cells = index._cells[conjugates] = tuple(found)
-    return list(cells)
-
-
 def classify_point(
     closure: GaloisClosure,
     I: Subgroup,
@@ -669,16 +670,15 @@ def classify_point(
     """Index of the isomorphism class of I among class_reps, two ways.
 
     Route (a) matches I against the representatives directly. Route (b)
-    replays the covering construction: I belongs to the cell of the
+    replays the covering construction: I belongs to the cell of each
     subgroup H whose subcover has a rational point while no proper
     subgroup's does. H has a point when I lies in a conjugate of H, that is,
-    when a conjugate of I lies in H (I <= gHg^-1 iff g^-1 I g <= H), so the
-    conjugates of I are read once. Walking the subgroups in ascending order,
-    a subgroup with a point is a cell unless it contains a cell found
-    earlier: its proper subgroups sort before it, and each subgroup with a
-    point contains a minimal one. The cells are found once per conjugacy
-    class of I (_point_cells). The two routes must agree; disagreement
-    raises.
+    when a conjugate of I lies in H (I <= gHg^-1 iff g^-1 I g <= H). The
+    minimal such H are exactly the conjugates of I: each gIg^-1 contains
+    itself, its proper subgroups are too small to contain a conjugate of I,
+    and an H with a point contains some conjugate c, so H is minimal only if
+    H = c. The cells are _GroupIndex.conjugates(I), looked up by mask. The
+    two routes must agree, so conjugates with different class numbers raise.
 
     Both routes look a subgroup up by its class number among the deck
     group's subgroups (_GroupIndex.isomorphism_class) in one map built per
@@ -688,7 +688,7 @@ def classify_point(
     means the same on this deck group's index.
     """
     deck = closure.deck_group
-    if I.parent != deck or any(h.parent != deck for h in class_reps):
+    if any(S.parent is not deck and S.parent != deck for S in (I, *class_reps)):
         raise InvalidInputError("inputs must be subgroups of the deck group")
     index = deck._index
     # class number -> the indices of the representatives of that class
@@ -696,11 +696,12 @@ def classify_point(
     for i, rep in enumerate(class_reps):
         by_class.setdefault(index.isomorphism_class(rep.mask), []).append(i)
 
-    def matches(S: Subgroup) -> list[int]:
-        """The indices of the representatives isomorphic to S, ascending."""
-        return by_class.get(index.isomorphism_class(S.mask), [])
+    def matches(mask: int) -> list[int]:
+        """The indices of the representatives isomorphic to the subgroup
+        mask, ascending."""
+        return by_class.get(index.isomorphism_class(mask), [])
 
-    direct_matches = matches(I)
+    direct_matches = matches(I.mask)
     if len(direct_matches) != 1:
         raise InvalidInputError(
             "class_reps must contain exactly one representative per "
@@ -708,10 +709,7 @@ def classify_point(
         )
     direct = direct_matches[0]
 
-    cells = _point_cells(deck, I)
-    if not cells:
-        raise TheoremViolationError("no cell contains I")
-    via_cover = {min(matches(H), default=None) for H in cells}
+    via_cover = {min(matches(c), default=None) for c in index.conjugates(I.mask)}
     if via_cover != {direct}:
         raise TheoremViolationError(
             f"covering construction gives classes {via_cover}, direct gives {direct}"

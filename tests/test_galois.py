@@ -19,9 +19,9 @@ from semistab.galois import (
     Subgroup,
     _element_orders,
     _generator_mapping_search,
+    _GroupIndex,
     _indexed,
     _is_abelian,
-    _point_cells,
     classify_point,
     compose,
     enumerate_subgroups,
@@ -733,25 +733,13 @@ class TestMaskClassification:
 
     @pytest.mark.parametrize("name", sorted(ALL_COVERS))
     def test_cells_match_all_pairs_filter(self, name):
-        reference = galois_closure(ALL_COVERS[name])
-        subs = enumerate_subgroups(reference.deck_group)
-        expected = [all_pairs_cells(reference, I) for I in subs]
-        # Walked up, the first subgroup of each conjugacy class finds its
-        # cells and the later ones read them through a conjugate; walked
-        # down, the other way round. Each walk starts with an empty cache.
-        for order in (range(len(subs)), reversed(range(len(subs)))):
-            closure = galois_closure(ALL_COVERS[name])
-            deck = closure.deck_group
-            seen: set[tuple[int, ...]] = set()
-            for i in order:
-                I = Subgroup(deck, subs[i].mask)
-                conjugates = deck._index.conjugates(I.mask)
-                cached = conjugates in deck._index._cells
-                assert cached == (conjugates in seen)
-                seen.add(conjugates)
-                assert _point_cells(deck, I) == expected[i]
-            # One entry per conjugacy class of subgroups.
-            assert deck._index._cells.keys() == seen
+        # Route (b)'s lemma: the minimal subgroups with a point, found the
+        # direct way, are the conjugates of I.
+        closure = galois_closure(ALL_COVERS[name])
+        deck = closure.deck_group
+        for I in enumerate_subgroups(deck):
+            cells = {H.mask for H in all_pairs_cells(closure, I)}
+            assert cells == set(deck._index.conjugates(I.mask))
 
     @pytest.mark.parametrize("name", ["A5", "S4xC2"])
     def test_isomorphic_matches_uncached(self, name):
@@ -773,6 +761,74 @@ class TestMaskClassification:
             assert isomorphic(a, b) == isomorphic(b, a) == expected
             # b's twin in the first group is compared by class numbers.
             assert isomorphic(a, subs_first[j]) == expected
+
+
+class TestConjugationChecks:
+    """The orbit-stabilizer check in the enumeration and the class-number
+    check in classify_point, against a broken conjugation path."""
+
+    @staticmethod
+    def drop_last_conjugate(monkeypatch):
+        conjugates = _GroupIndex.conjugates
+
+        def broken(self, mask):
+            found = conjugates(self, mask)
+            return found[:-1] if len(found) > 1 else found
+
+        monkeypatch.setattr(_GroupIndex, "conjugates", broken)
+
+    @pytest.mark.parametrize(
+        "cover", [NAMED_COVERS["S4"], S5_COVER], ids=["S4", "S5"]
+    )
+    def test_dropped_conjugate_raises(self, monkeypatch, cover):
+        deck = galois_closure(cover).deck_group
+        self.drop_last_conjugate(monkeypatch)
+        with pytest.raises(TheoremViolationError):
+            enumerate_subgroups(deck)
+
+    @pytest.mark.parametrize(
+        "degree, gens", [("4", "(1 2);(1 2 3 4)"), ("5", "(1 2);(1 2 3 4 5)")]
+    )
+    def test_dropped_conjugate_exits_internal(self, monkeypatch, capsys, degree, gens):
+        self.drop_last_conjugate(monkeypatch)
+        argv = ["galois", "--degree", degree, "--gens", gens, "--check-all", "--json"]
+        assert main(argv) == 4
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("number", ["fresh", "other class"])
+    def test_conjugates_in_different_classes_raise(self, monkeypatch, number):
+        closure = galois_closure(NAMED_COVERS["S4"])
+        deck = closure.deck_group
+        reps = TestClassifyPoint.class_reps(enumerate_subgroups(deck))
+        index = deck._index
+        # A representative with more than one conjugate, and one of them.
+        I = next(rep for rep in reps if len(index.conjugates(rep.mask)) > 1)
+        odd_one = next(c for c in index.conjugates(I.mask) if c != I.mask)
+        assert classify_point(closure, I, reps) == reps.index(I)
+        other = next(rep.isomorphism_class for rep in reps if rep is not I)
+        wrong = -1 if number == "fresh" else other
+        isomorphism_class = _GroupIndex.isomorphism_class
+
+        def patched(self, mask):
+            return wrong if mask == odd_one else isomorphism_class(self, mask)
+
+        monkeypatch.setattr(_GroupIndex, "isomorphism_class", patched)
+        with pytest.raises(TheoremViolationError):
+            classify_point(closure, I, reps)
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_COVERS))
+    def test_normalizer_oracle(self, name):
+        # |N_G(H)| counted by composing permutations, not off the table.
+        deck = galois_closure(LATTICE_COVERS[name]).deck_group
+        for H in enumerate_subgroups(deck):
+            members = H.elements
+            normalizer = 0
+            for g in deck.elements:
+                g_inv = inverse(g)
+                normalizer += all(
+                    compose(compose(g, h), g_inv) in members for h in members
+                )
+            assert normalizer * len(deck._index.conjugates(H.mask)) == deck.order
 
 
 class TestGaloisCommand:
