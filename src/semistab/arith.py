@@ -115,7 +115,7 @@ _RHO_BLOCK = 64
 
 
 def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
-    """A nontrivial factor of composite n and the iterations spent on it.
+    """A nontrivial factor of odd composite n and the iterations spent on it.
 
     Pollard rho on x -> x^2 + c with Brent's cycle finding (BIT 1980): y
     walks ahead of a saved x in runs of doubling length r, and the
@@ -124,8 +124,6 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     gcd per step; a walk that still finds only n is retried with c + 1.
     More than budget iterations raise SizeLimitError.
     """
-    if n % 2 == 0:
-        return 2, 0
     spent = 0
 
     def spend(steps: int) -> None:

@@ -37,7 +37,6 @@ from .errors import (
     InvalidInputError,
     NotTabulatedError,
     SemistabError,
-    SingularCurveError,
     SizeLimitError,
     TheoremViolationError,
 )
@@ -529,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotTabulatedError as exc:
         print(f"not tabulated: {exc}", file=sys.stderr)
         return EXIT_NOT_TABULATED
-    except (InvalidInputError, SingularCurveError, SizeLimitError) as exc:
+    except (InvalidInputError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except TheoremViolationError as exc:

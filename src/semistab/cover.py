@@ -63,9 +63,6 @@ class PadicBall:
         modulus = self.p**self.modulus_exponent
         return residue(x, modulus) == self.center
 
-    def label(self) -> str:
-        return _ball_label(self.p, self.center, self.modulus_exponent)
-
 
 @dataclass(frozen=True)
 class CoverReport:

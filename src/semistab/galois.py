@@ -13,7 +13,8 @@ A subgroup is stored once, as an int bitmask over its parent's elements
 numbered in sorted order; its permutations are derived from the mask when
 first read. Products and inverses of elements, and the conjugates of a
 subgroup (_GroupIndex.conjugates, the one conjugation path), are read off
-the parent's Cayley table.
+the parent's Cayley table. A deck group acts regularly, so its elements are
+numbered by the image of point 0 and its Cayley table is its element list.
 
 The subgroup lattice is built one conjugacy class at a time: only one
 representative per class is extended, and the rest of the class comes from
@@ -242,30 +243,34 @@ class _GroupIndex:
     """A group's elements numbered in sorted order, with a Cayley table.
 
     table[i][j] is the number of elements[i] * elements[j]. Element subsets
-    are int bitmasks over the numbers. The table has |G|^2 entries, so only
-    the subgroup-lattice functions build it, once per group object.
+    are int bitmasks over the numbers. A regular group (a deck group) is
+    numbered by the image of point 0, so a's tuple is its row: a(b(0)) = a[j]
+    for b numbered j. Any other group's |G|^2 table is built by full-tuple
+    lookup. Only the subgroup-lattice functions build the index, once per
+    group object.
     """
 
     def __init__(self, group: PermutationGroup) -> None:
         self.group = group
-        elements = group.sorted_elements()
-        n = len(elements)
-        # The images of the first k points tell the elements apart; for a
-        # regular action (a deck group) k = 1.
-        for k in range(group.degree + 1):
-            by_prefix = {x[:k]: i for i, x in enumerate(elements)}
-            if len(by_prefix) == n:
-                break
-        prefixes = [x[:k] for x in elements]
-        self.elements = elements
-        self.order = n
+        self.elements = elements = group.sorted_elements()
+        self.order = len(elements)
         self.identity = 0  # identity(degree) sorts first
-        self.table = [
-            [by_prefix[tuple(map(a.__getitem__, b))] for b in prefixes]
-            for a in elements
-        ]
+        if [x[0] for x in elements] == list(range(group.degree)):
+            self.table = elements
+        else:
+            number = {x: i for i, x in enumerate(elements)}
+            self.table = [
+                [number[tuple(map(a.__getitem__, b))] for b in elements]
+                for a in elements
+            ]
         self.inverse = [row.index(self.identity) for row in self.table]
-        self.orders = [perm_order(x) for x in elements]
+        # ord(x) steps along row x, through the powers of x to the identity
+        self.orders = []
+        for x, row in enumerate(self.table):
+            power, order = x, 1
+            while power != self.identity:
+                power, order = row[power], order + 1
+            self.orders.append(order)
         self._conjugates: dict[int, tuple[int, ...]] = {}
         # subgroup bitmask -> the number of its isomorphism class
         self._classes: dict[int, int] = {}

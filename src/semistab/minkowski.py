@@ -108,8 +108,8 @@ class MinkowskiReport:
         )
 
 
-def to_scientific(n: int, digits: int = 2) -> str:
-    """Round an exact integer to `digits` significant figures, as 'a.be+XX'.
+def to_scientific(n: int) -> str:
+    """Round an exact integer to two significant figures, as 'a.be+XX'.
 
     Used for eyeballing table entries against their printed approximations;
     the exact integer is always reported alongside. The rounding is exact
@@ -121,16 +121,15 @@ def to_scientific(n: int, digits: int = 2) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
     exponent = len(str(n)) - 1
-    drop = exponent - (digits - 1)
+    drop = exponent - 1
     if drop > 0:
         kept, rest = divmod(n, 10**drop)
         if 2 * rest > 10**drop or (2 * rest == 10**drop and kept % 2):
             kept += 1
-        if kept == 10**digits:
+        if kept == 100:
             kept //= 10
             exponent += 1
     else:
         kept = n * 10**-drop
     figures = str(kept)
-    mantissa = figures[0] + ("." + figures[1:] if digits > 1 else "")
-    return f"{sign}{mantissa}e{exponent:+03d}"
+    return f"{sign}{figures[0]}.{figures[1]}e{exponent:+03d}"

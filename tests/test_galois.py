@@ -545,6 +545,50 @@ class TestSubgroupEnumeration:
         )
 
 
+def symmetric_group(n: int) -> PermutationGroup:
+    """S_n on n points, built directly: not regular for n >= 3."""
+    return PermutationGroup(n, (), frozenset(itertools.permutations(range(n))))
+
+
+def isomorphism_class_orders(group: PermutationGroup) -> list[tuple[int, int]]:
+    """(order, number of subgroups) per isomorphism class, sorted."""
+    classes: dict[int, list[int]] = {}
+    for sub in enumerate_subgroups(group):
+        classes.setdefault(sub.isomorphism_class, []).append(sub.order)
+    return sorted((orders[0], len(orders)) for orders in classes.values())
+
+
+class TestCayleyTable:
+    """Both paths of _GroupIndex: a regular group's rows are its element
+    tuples, any other group's table is looked up by full tuple."""
+
+    GROUPS = {
+        **{name: lambda cover=cover: galois_closure(cover).deck_group
+           for name, cover in ALL_COVERS.items()},
+        "S4 on 4 points": lambda: symmetric_group(4),
+        "S5 on 5 points": lambda: symmetric_group(5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_table_orders_and_inverses(self, name):
+        index = self.GROUPS[name]()._index
+        elements = index.elements
+        assert (index.table is elements) == (name in ALL_COVERS)
+        number = {x: i for i, x in enumerate(elements)}
+        for a, x in enumerate(elements):
+            assert list(index.table[a]) == [
+                number[compose(x, y)] for y in elements
+            ]
+            assert elements[index.inverse[a]] == inverse(x)
+        assert index.orders == [perm_order(x) for x in elements]
+
+    def test_s4_on_4_points_matches_the_deck(self):
+        deck = galois_closure(NAMED_COVERS["S4"]).deck_group
+        s4 = symmetric_group(4)
+        assert len(enumerate_subgroups(s4)) == 30
+        assert isomorphism_class_orders(s4) == isomorphism_class_orders(deck)
+
+
 @pytest.fixture(scope="module")
 def s3():
     closure = galois_closure(NAMED_COVERS["S3"])

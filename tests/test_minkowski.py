@@ -121,8 +121,7 @@ class TestGlCardinality:
     def test_scientific_matches_float_formatting_when_exact(self):
         # Below 2**53 float(n) is exact, and format() rounds half to even.
         for n in (1, 9, 10, 15, 25, 35, 95, 96, 994, 995, 1005, 2**53 - 1):
-            for digits in (1, 2, 3):
-                assert to_scientific(n, digits) == format(float(n), f".{digits - 1}e")
+            assert to_scientific(n) == format(float(n), ".1e")
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_brute_force_n1(self, m):
