@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import InvalidInputError, SizeLimitError
@@ -168,8 +167,7 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
         c += 1
 
 
-#: Trial division covers the primes below this bound, and so does the
-#: table lookup in valuation's primality check.
+#: Trial division covers the primes below this bound.
 _TRIAL_BOUND = 10_000
 
 #: factorize tries the trial-division primes this many at a time, by one gcd
@@ -178,16 +176,10 @@ _TRIAL_BLOCK = 32
 
 
 @functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    """The primes below _TRIAL_BOUND, sieved once on first use."""
-    return tuple(primes_up_to(_TRIAL_BOUND - 1))
-
-
-@functools.cache
 def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The trial-division primes in runs of _TRIAL_BLOCK, in increasing
-    order, each with its product; built once on first use."""
-    primes = _trial_primes()
+    """The primes below _TRIAL_BOUND in runs of _TRIAL_BLOCK, in increasing
+    order, each with its product; sieved once on first use."""
+    primes = tuple(primes_up_to(_TRIAL_BOUND - 1))
     starts = range(0, len(primes), _TRIAL_BLOCK)
     blocks = (primes[i : i + _TRIAL_BLOCK] for i in starts)
     return tuple((math.prod(block), block) for block in blocks)
@@ -246,25 +238,12 @@ def factorize(n: int) -> dict[int, int]:
 def valuation(x: Rational, p: int) -> int | float:
     """p-adic valuation v_p(x), normalized v_p(p) = 1; v_p(0) = +infinity.
 
-    p must be prime, else InvalidInputError. Below 10^4 (_TRIAL_BOUND) that
-    is a lookup in factorize's table of trial-division primes; from 10^4 up
-    it is Miller-Rabin (is_prime). An int x is read as x/1, with no Fraction
-    built.
+    p must be prime (is_prime), else InvalidInputError. x is read as
+    x.numerator / x.denominator, which an int has as x / 1.
     """
-    if p < _TRIAL_BOUND:
-        table = _trial_primes()
-        i = bisect_left(table, p)
-        prime = i < len(table) and table[i] == p
-    else:
-        prime = is_prime(p)
-    if not prime:
+    if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
-    if isinstance(x, int):
-        num, den = x, 1
-    else:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        num, den = x.numerator, x.denominator
+    num, den = x.numerator, x.denominator
     if num == 0:
         return INFINITY
     v = 0
@@ -281,17 +260,15 @@ def residue(x: Rational, modulus: int) -> int:
     """Image of a rational with denominator invertible mod modulus.
 
     The denominator is inverted mod modulus; this is the canonical image of
-    x in Z/modulus when x is a p-adic integer for every p | modulus. An int
-    is reduced directly.
+    x in Z/modulus when x is a p-adic integer for every p | modulus. x is
+    read as x.numerator / x.denominator, which an int has as x / 1.
     """
-    if isinstance(x, int):
-        return x % modulus
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    if math.gcd(x.denominator, modulus) != 1:
+    num, den = x.numerator, x.denominator
+    if math.gcd(den, modulus) != 1:
         raise InvalidInputError(
             f"{x} has no well-defined residue mod {modulus}"
         )
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+    return num * pow(den, -1, modulus) % modulus
 
 
 def parse_rational(text: str) -> Fraction:

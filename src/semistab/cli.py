@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -52,6 +51,7 @@ from .galois import (
 )
 from .minkowski import (
     MinkowskiReport,
+    _decimal_digits,
     gl_cardinality,
     minkowski_bound,
     to_scientific,
@@ -148,17 +148,6 @@ def cover_report_data(report: CoverReport) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of n >= 1, counted without str(n)."""
-    digits = int(math.log10(n)) + 1
-    # log10 is rounded, so it may land on the wrong side of a power of ten.
-    while n >= 10**digits:
-        digits += 1
-    while n < 10 ** (digits - 1):
-        digits -= 1
-    return digits
 
 
 def cmd_minkowski(args) -> int:

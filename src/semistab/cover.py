@@ -148,6 +148,8 @@ def locate(s: Rational, report: CoverReport) -> PadicBall:
     """The unique ball of the report containing s."""
     p = report.p
     v = valuation(s, p)
+    if p not in FAMILY_TABLES:
+        raise NotTabulatedError(f"no reduction tables at p = {p}")
     lo, hi = report.valuation_range
     if v == INFINITY or not lo <= v <= hi:
         raise NotTabulatedError(

@@ -108,19 +108,31 @@ class MinkowskiReport:
         )
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, counted without str(n)."""
+    digits = int(math.log10(n)) + 1
+    # log10 is rounded, so it may land on the wrong side of a power of ten.
+    while n >= 10**digits:
+        digits += 1
+    while n < 10 ** (digits - 1):
+        digits -= 1
+    return digits
+
+
 def to_scientific(n: int) -> str:
     """Round an exact integer to two significant figures, as 'a.be+XX'.
 
     Used for eyeballing table entries against their printed approximations;
     the exact integer is always reported alongside. The rounding is exact
-    integer arithmetic (half to even, as `format` rounds a float), so
-    integers beyond the float range are fine.
+    integer arithmetic (half to even, as `format` rounds a float), and the
+    exponent comes from _decimal_digits, not str(n), so integers beyond the
+    float range and past str()'s digit limit are fine.
     """
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
     n = abs(n)
-    exponent = len(str(n)) - 1
+    exponent = _decimal_digits(n) - 1
     drop = exponent - 1
     if drop > 0:
         kept, rest = divmod(n, 10**drop)

@@ -49,6 +49,12 @@ class TestFactorize:
         p = 1_000_003
         assert factorize(4 * p * p) == {2: 2, p: 2}
 
+    @pytest.mark.parametrize("p, q", [(10289, 57301), (14821, 44123)])
+    def test_rho_retries_with_next_constant(self, p, q):
+        # Rho with c = 1 finds only p * q itself on these semiprimes, so
+        # _pollard_rho walks again with c = 2.
+        assert factorize(p * q) == {p: 1, q: 1}
+
     @given(st.integers(min_value=2, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_reconstructs_input(self, n):

@@ -298,6 +298,12 @@ class TestLocate:
         with pytest.raises(TheoremViolationError, match="escaped every ball"):
             locate(5, report)
 
+    def test_untabulated_prime_refused(self):
+        with pytest.raises(NotTabulatedError, match="no reduction tables at p = 5"):
+            locate(1, CoverReport(5, (0, 0), ()))
+        with pytest.raises(InvalidInputError, match="4 is not prime"):
+            locate(1, CoverReport(4, (0, 0), ()))
+
     def test_out_of_range(self, reports):
         with pytest.raises(NotTabulatedError):
             locate(8, reports[2])

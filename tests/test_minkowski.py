@@ -9,6 +9,7 @@ from semistab.arith import primes_up_to
 from semistab.errors import InvalidInputError
 from semistab.minkowski import (
     MinkowskiReport,
+    _decimal_digits,
     asymptotic_ratio_diagnostic,
     gl_cardinality,
     minkowski_bound,
@@ -117,6 +118,16 @@ class TestGlCardinality:
         assert to_scientific(10**400 + 5 * 10**398 + 1) == "1.1e+400"
         assert to_scientific(-(996 * 10**350)) == "-1.0e+353"
         assert to_scientific(gl_cardinality(18, 12)).endswith("e+348")
+        # str() refuses ints of more than 4300 digits by default.
+        assert to_scientific(10**5000) == "1.0e+5000"
+        assert to_scientific(-(10**5000 - 1)) == "-1.0e+5000"
+
+    def test_decimal_digits_around_powers_of_ten(self):
+        # math.log10 rounds, so near 10^k the first guess is corrected up or
+        # down; 10^k - 1 needs the downward correction for most k < 400.
+        for k in range(1, 1001):
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                assert _decimal_digits(n) == len(str(n)), (k, n - 10**k)
 
     def test_scientific_matches_float_formatting_when_exact(self):
         # Below 2**53 float(n) is exact, and format() rounds half to even.
