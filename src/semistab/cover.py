@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import INFINITY, Rational, is_prime, residue, valuation
+from .arith import Rational, is_prime, residue, valuation
 from .errors import InvalidInputError, NotTabulatedError, TheoremViolationError
-from .monodromy import FAMILY_TABLES, MonodromyGroup, _family_ball
+from .monodromy import FAMILY_TABLES, MonodromyGroup, _family_ball, _nonzero_parameter
 
 
 def _ball_label(p: int, center: int, k: int) -> str:
@@ -145,13 +145,14 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
 
 
 def locate(s: Rational, report: CoverReport) -> PadicBall:
-    """The unique ball of the report containing s."""
+    """The unique ball of the report containing s != 0 (SingularCurveError)."""
     p = report.p
+    s = _nonzero_parameter(s)
     v = valuation(s, p)
     if p not in FAMILY_TABLES:
         raise NotTabulatedError(f"no reduction tables at p = {p}")
     lo, hi = report.valuation_range
-    if v == INFINITY or not lo <= v <= hi:
+    if not lo <= v <= hi:
         raise NotTabulatedError(
             f"v_{p}(s) = {v} outside report range {lo}..{hi}"
         )
@@ -159,6 +160,6 @@ def locate(s: Rational, report: CoverReport) -> PadicBall:
     ball = report._index.get((v, center))
     if ball is None or ball.modulus_exponent != k:
         raise TheoremViolationError(
-            f"{Fraction(s)} escaped every ball of the cover at {p}"
+            f"{s} escaped every ball of the cover at {p}"
         )
     return ball

@@ -72,15 +72,6 @@ class CurveInvariants:
     j: Fraction
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
-    """p-adic valuations of delta, c4 and j; +infinity for zero values."""
-
-    v_delta: int | float
-    v_c4: int | float
-    v_j: int | float
-
-
 def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
     """All derived b/c invariants, discriminant and j of a Weierstrass curve.
 
@@ -121,14 +112,6 @@ def compute_invariants(curve: WeierstrassCurve) -> CurveInvariants:
         delta=Fraction(delta, u**12),
         j=Fraction(c4**3, delta),
     )
-
-
-def valuation_profile(curve: WeierstrassCurve, p: int) -> ValuationProfile:
-    """v_p of delta and c4, and v_p(j) = 3 v_p(c4) - v_p(delta) from them
-    (+infinity when c4 = 0, as v_p(0))."""
-    inv = curve.invariants
-    v_delta, v_c4 = valuation(inv.delta, p), valuation(inv.c4, p)
-    return ValuationProfile(v_delta=v_delta, v_c4=v_c4, v_j=3 * v_c4 - v_delta)
 
 
 def family_curve(s: Rational) -> WeierstrassCurve:
@@ -179,20 +162,27 @@ def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:
     """Reduction type at p >= 5 of a curve already minimal at p.
 
     One of 'good', 'multiplicative', 'additive-potentially-good',
-    'additive-potentially-multiplicative'. Potential behavior of an additive
-    curve is read off the valuation of j: negative means potentially
-    multiplicative.
+    'additive-potentially-multiplicative', read off v_p(delta) and v_p(c4)
+    by _reduction_class; a model that is not minimal at p is refused.
     """
     _require_tame_prime(p)
-    return _reduction_class(valuation_profile(curve, p))
+    inv = curve.invariants
+    return _reduction_class(valuation(inv.delta, p), valuation(inv.c4, p))
 
 
-def _reduction_class(prof: ValuationProfile) -> str:
-    """reduction_class_at_p read off a valuation profile at p >= 5."""
-    if prof.v_delta == 0:
+def _reduction_class(v_delta: int, v_c4: int | float) -> str:
+    """reduction_class_at_p from v_p(delta) and v_p(c4) (+infinity for c4 = 0).
+    Additive reduction is potentially multiplicative when v_p(j) = 3 v_p(c4) -
+    v_p(delta) < 0. v_p(delta) >= 12 and v_p(c4) >= 4, so v_p(c6) >= 6 by
+    1728 delta = c4^3 - c6^2, is a model not minimal at p: InvalidInputError."""
+    if v_delta >= 12 and v_c4 >= 4:
+        raise InvalidInputError(
+            f"model not minimal at p: v_p(delta) = {v_delta}, v_p(c4) = {v_c4}"
+        )
+    if v_delta == 0:
         return "good"
-    if prof.v_c4 == 0:
+    if v_c4 == 0:
         return "multiplicative"
-    if prof.v_j < 0:
+    if 3 * v_c4 < v_delta:
         return "additive-potentially-multiplicative"
     return "additive-potentially-good"

@@ -9,10 +9,10 @@ At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
 without a row is refused (NotTabulatedError) rather than extrapolated. One
 lookup, _family_ball, reads the p-adic ball of s and its group off a row, for
-the rules here and for the cover module's balls and locate. At p >= 5
-reduction is tame (Serre-Tate) and the group follows from the valuation of
-the minimal discriminant. In family_report every rule takes v_p(s) from the
-one factorization in bad_primes; it computes no valuation of its own.
+the rules here and for the cover module's balls and locate. At p >= 5 one
+tame rule (Serre-Tate), _tame_group, serves the family and phi_tame. In
+family_report every rule takes v_p(s) from the one factorization in
+bad_primes; it computes no valuation of its own.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -28,13 +28,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, factorize, residue, valuation
+from .arith import INFINITY, Rational, factorize, residue, valuation
 from .curves import (
     WeierstrassCurve,
     _reduction_class,
     _require_tame_prime,
     minimalize_at_p,
-    valuation_profile,
 )
 from .errors import (
     InvalidInputError,
@@ -188,28 +187,34 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     return _family_ball(2, s, valuation(s, 2))[2]
 
 
-def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
-    """Monodromy group at a tame prime p >= 5, for a curve minimal at p.
+def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
+    """The tame rule (Serre-Tate), from v_p(delta) and v_p(c4) (INFINITY when
+    c4 = 0) of a model minimal at p >= 5, classified by _reduction_class.
 
     Good or multiplicative reduction: trivial. Additive potentially
     multiplicative: C2. Additive potentially good: cyclic of order
     12 / gcd(v_p(delta_min), 12), always in {2, 3, 4, 6}.
     """
-    _require_tame_prime(p)
-    profile = valuation_profile(curve, p)
-    klass = _reduction_class(profile)
+    klass = _reduction_class(v_delta, v_c4)
     if klass in ("good", "multiplicative"):
         return MonodromyGroup.C1
     if klass == "additive-potentially-multiplicative":
         return MonodromyGroup.C2
-    v_delta = profile.v_delta
-    e = 12 // math.gcd(int(v_delta), 12)
+    e = 12 // math.gcd(v_delta, 12)
     if e not in (2, 3, 4, 6):
         raise TheoremViolationError(
             f"tame semistability defect {e} outside {{2,3,4,6}} "
-            f"(v_p(delta) = {v_delta}, p = {p}); curve not minimal?"
+            f"(v_p(delta) = {v_delta})"
         )
     return _CYCLIC_BY_ORDER[e]
+
+
+def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
+    """Monodromy group at a tame prime p >= 5 of a curve minimal at p (else
+    InvalidInputError): _tame_group on v_p(delta) and v_p(c4)."""
+    _require_tame_prime(p)
+    inv = curve.invariants
+    return _tame_group(valuation(inv.delta, p), valuation(inv.c4, p))
 
 
 def bad_primes(s: Fraction) -> dict[int, int]:
@@ -235,13 +240,13 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
 
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
-    the v that bad_primes read): _family_ball at 2 and 3, else the tame rule
-    order 6 / gcd(v, 6), phi_tame on the model minimalized at p (s rescaled by
-    a 6th power of p, v < 0 too), whose v_p(delta_min) is 2 * (v mod 6)."""
+    the v that bad_primes read): _family_ball at 2 and 3, else _tame_group on
+    the model minimalized at p (s rescaled by a 6th power of p, v < 0 too),
+    whose v_p(delta_min) is 2 * (v mod 6) and whose c4 is 0."""
     if p in FAMILY_TABLES:
         center, k, group = _family_ball(p, s, v)
         return LocalMonodromyResult(p, group, f"family-table-{p}", (center, k))
-    return _tame_result(p, _CYCLIC_BY_ORDER[6 // math.gcd(v, 6)])
+    return _tame_result(p, _tame_group(2 * (v % 6), INFINITY))
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:

@@ -13,6 +13,7 @@ from semistab.cover import (
 from semistab.errors import (
     InvalidInputError,
     NotTabulatedError,
+    SingularCurveError,
     TheoremViolationError,
 )
 from semistab.monodromy import (
@@ -303,6 +304,14 @@ class TestLocate:
             locate(1, CoverReport(5, (0, 0), ()))
         with pytest.raises(InvalidInputError, match="4 is not prime"):
             locate(1, CoverReport(4, (0, 0), ()))
+
+    @pytest.mark.parametrize("s", [0, Fraction(0)])
+    def test_zero_is_singular(self, reports, s):
+        # s = 0 is the singular cubic: invalid input (exit 2), as for
+        # phi_family_at_2(0), not a stratum outside the tables (exit 3).
+        for report in reports.values():
+            with pytest.raises(SingularCurveError, match="s = 0"):
+                locate(s, report)
 
     def test_out_of_range(self, reports):
         with pytest.raises(NotTabulatedError):

@@ -14,7 +14,6 @@ from semistab.curves import (
     family_curve,
     minimalize_at_p,
     reduction_class_at_p,
-    valuation_profile,
 )
 from semistab.errors import (
     InvalidInputError,
@@ -258,15 +257,38 @@ class TestMinimalizeOracle:
 
 
 def profile_by_direct_valuations(curve: WeierstrassCurve, p: int) -> tuple:
-    """Independent route, valuation_profile's former one: delta, c4 and j
-    each valued directly; returns (v_delta, v_c4, v_j)."""
+    """Independent route: delta, c4, c6 and j each valued directly; returns
+    (v_delta, v_c4, v_c6, v_j)."""
     inv = compute_invariants(curve)
     v_j = valuation(inv.j, p) if inv.j != 0 else INFINITY
-    return valuation(inv.delta, p), valuation(inv.c4, p), v_j
+    return (
+        valuation(inv.delta, p),
+        valuation(inv.c4, p),
+        valuation(inv.c6, p),
+        v_j,
+    )
+
+
+def class_by_direct_valuations(curve: WeierstrassCurve, p: int) -> str | None:
+    """reduction_class_at_p by the textbook criteria on the direct valuations;
+    None for a model that is not minimal at p >= 5 (v_p(c4) >= 4, v_p(c6) >= 6
+    and v_p(delta) >= 12)."""
+    v_delta, v_c4, v_c6, v_j = profile_by_direct_valuations(curve, p)
+    if v_delta >= 12 and v_c4 >= 4 and v_c6 >= 6:
+        return None
+    if v_delta == 0:
+        return "good"
+    if v_c4 == 0:
+        return "multiplicative"
+    if v_j < 0:
+        return "additive-potentially-multiplicative"
+    return "additive-potentially-good"
 
 
 class TestValuationProfileOracle:
     def test_derived_v_j_agrees(self, rng):
+        # reduction_class_at_p derives v_p(j) < 0 as 3 v_p(c4) < v_p(delta);
+        # the oracle values j itself, and refuses non-minimal models by c6 too.
         kinds = dict.fromkeys(["short", "scaled", "long", "c4=0"], 0)
         for _ in range(2000):
             p = rng.choice([5, 7, 11, 13, 10007])
@@ -285,10 +307,14 @@ class TestValuationProfileOracle:
                 curve = WeierstrassCurve(*a)
             except SingularCurveError:
                 continue
-            prof = valuation_profile(curve, p)
-            assert (prof.v_delta, prof.v_c4, prof.v_j) == profile_by_direct_valuations(
-                curve, p
-            ), (a, p)
+            expected = class_by_direct_valuations(curve, p)
+            if kind == "scaled":
+                assert expected is None, (a, p)
+            if expected is None:
+                with pytest.raises(InvalidInputError, match="not minimal"):
+                    reduction_class_at_p(curve, p)
+            else:
+                assert reduction_class_at_p(curve, p) == expected, (a, p)
             kinds[kind] += 1
         assert min(kinds.values()) > 400, kinds
 
@@ -306,8 +332,8 @@ class TestReductionClass:
     def test_multiplicative_witness(self):
         # delta = -368 = -16 * 23, c4 = 48: minimal at 23 with v(c4) = 0.
         curve = WeierstrassCurve(0, 0, 0, -1, 1)
-        prof = valuation_profile(curve, 23)
-        assert prof.v_delta > 0 and prof.v_c4 == 0
+        v_delta, v_c4, _, _ = profile_by_direct_valuations(curve, 23)
+        assert v_delta > 0 and v_c4 == 0
         assert reduction_class_at_p(curve, 23) == "multiplicative"
 
     def test_potentially_multiplicative_witness(self):
@@ -326,6 +352,23 @@ class TestReductionClass:
     def test_wild_primes_rejected(self, p):
         with pytest.raises(UnsupportedPrimeError):
             reduction_class_at_p(family_curve(1), p)
+
+    @pytest.mark.parametrize(
+        "a4, a6, minimal_class",
+        [
+            (0, 5**6, "good"),
+            (0, 2 * 5**7, "additive-potentially-good"),
+            (5**4, 5**6, "good"),
+        ],
+    )
+    def test_not_minimal_refused(self, a4, a6, minimal_class):
+        # One step (x, y) -> (5^2 x, 5^3 y) above a minimal model. Read off
+        # this model, y^2 = x^3 + 5^6 would be additive, though y^2 = x^3 + 1
+        # is good at 5: the model is refused, not classified.
+        curve = WeierstrassCurve(0, 0, 0, a4, a6)
+        with pytest.raises(InvalidInputError, match="not minimal at p"):
+            reduction_class_at_p(curve, 5)
+        assert reduction_class_at_p(minimalize_at_p(curve, 5)[0], 5) == minimal_class
 
     def test_family_good_iff_valuation_multiple_of_6(self, rng):
         primes = [5, 7, 11, 13, 17]

@@ -260,14 +260,21 @@ class TestPhiTame:
     def test_multiplicative_is_trivial(self):
         assert phi_tame(WeierstrassCurve(0, 0, 0, -1, 1), 23) is G.C1
 
+    def test_not_minimal_refused_as_input(self):
+        # y^2 = x^3 + 5^6 is not minimal at 5: invalid input (exit 2), not
+        # an internal error, and minimalized it is good there.
+        with pytest.raises(InvalidInputError, match="not minimal at p"):
+            phi_tame(family_curve(5**6), 5)
+        assert phi_tame(minimalize_at_p(family_curve(5**6), 5)[0], 5) is G.C1
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_wild_primes_rejected(self, p):
         with pytest.raises(UnsupportedPrimeError):
             phi_tame(family_curve(1), p)
 
     def test_degree_report_matches_curve_route(self, rng, tabulated_s):
-        # The batch path uses a closed form at tame primes; check it against
-        # minimalizing the actual curve and applying the tame rule.
+        # The batch path feeds the tame rule v_p(delta_min) = 2 * (v mod 6);
+        # check it against minimalizing the actual curve and phi_tame.
         for _ in range(300):
             s = tabulated_s(rng)
             report = semistability_degree(s)
@@ -277,6 +284,24 @@ class TestPhiTame:
                 shift = 6 * (int(valuation(s, entry.p)) // 6)
                 curve = family_curve(s / Fraction(entry.p) ** shift)
                 assert entry.group is phi_tame(curve, entry.p)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_family_route_matches_minimalized_curve(self, p):
+        # Every v_p(s) in -12..12: the family's route at p against phi_tame
+        # on the curve made integral at p by a 6th power of p, then
+        # minimalized; no entry at p when 6 | v.
+        for v in range(-12, 13):
+            for u in (1, -2, Fraction(-17, 4)):
+                s = u * Fraction(p) ** v
+                lift = 6 * max(0, -(v // 6))
+                minimal, _ = minimalize_at_p(family_curve(s * p**lift), p)
+                expected = phi_tame(minimal, p)
+                entry = family_report(s).local_at(p)
+                if v % 6 == 0:
+                    assert entry is None and expected is G.C1, (s, p)
+                else:
+                    assert entry.group is expected, (s, p)
+                    assert entry.provenance == "tame-rule", (s, p)
 
     def test_trivial_iff_good_or_multiplicative(self, rng):
         for _ in range(300):
@@ -459,9 +484,9 @@ def valuation_route_family_report(s: Fraction):
 
 
 def profile_route_tame_group(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
-    """phi_tame on the model minimalized at p, by the route it took before
-    one valuation profile served both the class and v_p(delta): the public
-    reduction_class_at_p, then v_p(delta_min) from compute_invariants."""
+    """phi_tame on the model minimalized at p, by a second route: the public
+    reduction_class_at_p, then the order 12 / gcd(v_p(delta_min), 12) with
+    v_p(delta_min) from compute_invariants."""
     minimal, _ = minimalize_at_p(curve, p)
     klass = reduction_class_at_p(minimal, p)
     if klass in ("good", "multiplicative"):
