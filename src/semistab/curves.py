@@ -1,5 +1,6 @@
-"""Weierstrass equations over Q: invariants, the family y^2 = x^3 + s,
-and local minimalization at primes p >= 5.
+"""Weierstrass equations over Q: invariants, the family y^2 = x^3 + s, and
+the minimal model at p >= 5, one rule (_minimal_steps) on v_p(delta) and
+v_p(c4) that reduction_class_at_p and minimalize_at_p both read.
 
 Sign convention note: we use the standard c6 = -b2^3 + 36 b2 b4 - 216 b6,
 which gives c6 = -864 s for the family curve (0,0,0,0,s). Some tables print
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, valuation
+from .arith import INFINITY, Rational, valuation
 from .errors import (
     InvalidInputError,
     SingularCurveError,
@@ -128,30 +129,34 @@ def _require_tame_prime(p: int) -> None:
         )
 
 
+def _minimal_steps(v_delta: int, v_c4: int | float) -> int:
+    """Steps (x, y) -> (p^2 x, p^3 y) from a model at p >= 5 to the minimal
+    one: k = min(v_c4 // 4, v_delta // 12), v_c4 = INFINITY when c4 = 0. A
+    model is minimal at p >= 5 iff v_p(delta) < 12 or v_p(c4) < 4 (Silverman
+    VII.1); k < 0 exactly when delta or c4 is not p-integral, which for a
+    short-form model means the model is not integral at p."""
+    if v_c4 == INFINITY:  # math.inf // 4 is nan, not +infinity
+        return v_delta // 12
+    return min(v_c4 // 4, v_delta // 12)
+
+
 def minimalize_at_p(
     curve: WeierstrassCurve, p: int
 ) -> tuple[WeierstrassCurve, int]:
-    """Minimal model at p >= 5 for a short-form curve, with scaling exponent.
-
-    Each step is the substitution (x, y) -> (p^2 x, p^3 y), dividing
-    (a4, a6) by (p^4, p^6); it drops v_p(delta) by 12 and preserves j. A step
-    needs v_p(c4) >= 4, v_p(c6) >= 6 and v_p(delta) >= 12. At p >= 5, 48 and
-    864 are p-units, so c4 = -48 a4 and c6 = -864 a6 make that v_p(a4) >= 4
-    and v_p(a6) >= 6, from which v_p(delta) >= 12 follows. A zero coefficient
-    puts no bound on the steps.
-    """
+    """Minimal model at p >= 5 of a short-form curve integral at p (else
+    InvalidInputError), and the _minimal_steps it took, each the substitution
+    (x, y) -> (p^2 x, p^3 y) dividing (a4, a6) by (p^4, p^6)."""
     _require_tame_prime(p)
     if not curve.is_short_form():
         raise InvalidInputError(
             "minimalization implemented for short-form curves only"
         )
-    coefficients = ((curve.a4, 4), (curve.a6, 6))
-    valuations = [(valuation(a, p), weight) for a, weight in coefficients if a]
-    if any(v < 0 for v, _ in valuations):
+    inv = curve.invariants
+    steps = _minimal_steps(valuation(inv.delta, p), valuation(inv.c4, p))
+    if steps < 0:
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"
         )
-    steps = min(v // weight for v, weight in valuations)
     if steps == 0:
         return curve, 0
     scale = p**steps
@@ -159,29 +164,24 @@ def minimalize_at_p(
 
 
 def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:
-    """Reduction type at p >= 5 of a curve already minimal at p.
-
-    One of 'good', 'multiplicative', 'additive-potentially-good',
-    'additive-potentially-multiplicative', read off v_p(delta) and v_p(c4)
-    by _reduction_class; a model that is not minimal at p is refused.
-    """
+    """Reduction type at p >= 5 of any model, minimal or integral at p or not:
+    'good', 'multiplicative', 'additive-potentially-good' or
+    'additive-potentially-multiplicative', by _reduction_class."""
     _require_tame_prime(p)
     inv = curve.invariants
     return _reduction_class(valuation(inv.delta, p), valuation(inv.c4, p))
 
 
 def _reduction_class(v_delta: int, v_c4: int | float) -> str:
-    """reduction_class_at_p from v_p(delta) and v_p(c4) (+infinity for c4 = 0).
-    Additive reduction is potentially multiplicative when v_p(j) = 3 v_p(c4) -
-    v_p(delta) < 0. v_p(delta) >= 12 and v_p(c4) >= 4, so v_p(c6) >= 6 by
-    1728 delta = c4^3 - c6^2, is a model not minimal at p: InvalidInputError."""
-    if v_delta >= 12 and v_c4 >= 4:
-        raise InvalidInputError(
-            f"model not minimal at p: v_p(delta) = {v_delta}, v_p(c4) = {v_c4}"
-        )
-    if v_delta == 0:
+    """reduction_class_at_p from v_p(delta) and v_p(c4) (INFINITY for c4 = 0)
+    of any model: the class of the minimal model, whose valuations are
+    v_delta - 12k and v_c4 - 4k, k = _minimal_steps(v_delta, v_c4). Additive
+    reduction is potentially multiplicative when v_p(j) = 3 v_p(c4) -
+    v_p(delta) < 0, the same on every model."""
+    k = _minimal_steps(v_delta, v_c4)
+    if v_delta == 12 * k:
         return "good"
-    if v_c4 == 0:
+    if v_c4 == 4 * k:
         return "multiplicative"
     if 3 * v_c4 < v_delta:
         return "additive-potentially-multiplicative"

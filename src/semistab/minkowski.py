@@ -103,7 +103,7 @@ class MinkowskiReport:
         return cls(
             g=g,
             exponents=exponents,
-            bound=minkowski_bound(g),
+            bound=math.prod(p**e for p, e in exponents.items()),
             gl12_card=gl_cardinality(2 * g, gl_modulus),
         )
 

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, Rational, factorize, residue, valuation
-from .curves import (
-    WeierstrassCurve,
-    _reduction_class,
-    _require_tame_prime,
-    minimalize_at_p,
-)
+from .curves import WeierstrassCurve, _reduction_class, _require_tame_prime
 from .errors import (
     InvalidInputError,
     NotTabulatedError,
@@ -189,11 +184,12 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
 
 def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
     """The tame rule (Serre-Tate), from v_p(delta) and v_p(c4) (INFINITY when
-    c4 = 0) of a model minimal at p >= 5, classified by _reduction_class.
+    c4 = 0) of any model at p >= 5, classified by _reduction_class.
 
     Good or multiplicative reduction: trivial. Additive potentially
     multiplicative: C2. Additive potentially good: cyclic of order
-    12 / gcd(v_p(delta_min), 12), always in {2, 3, 4, 6}.
+    12 / gcd(v_p(delta_min), 12), always in {2, 3, 4, 6}; v_p(delta_min) =
+    v_p(delta) - 12k, so gcd(v_p(delta), 12) is the same gcd.
     """
     klass = _reduction_class(v_delta, v_c4)
     if klass in ("good", "multiplicative"):
@@ -210,8 +206,8 @@ def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
 
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
-    """Monodromy group at a tame prime p >= 5 of a curve minimal at p (else
-    InvalidInputError): _tame_group on v_p(delta) and v_p(c4)."""
+    """Monodromy group at a tame prime p >= 5 of any model of the curve,
+    minimal or integral at p or not: _tame_group on v_p(delta) and v_p(c4)."""
     _require_tame_prime(p)
     inv = curve.invariants
     return _tame_group(valuation(inv.delta, p), valuation(inv.c4, p))
@@ -241,26 +237,27 @@ def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
     the v that bad_primes read): _family_ball at 2 and 3, else _tame_group on
-    the model minimalized at p (s rescaled by a 6th power of p, v < 0 too),
-    whose v_p(delta_min) is 2 * (v mod 6) and whose c4 is 0."""
+    the valuations of this model, v_p(delta) = 2v (delta = -432 s^2) and
+    c4 = 0, for v < 0 too."""
     if p in FAMILY_TABLES:
         center, k, group = _family_ball(p, s, v)
         return LocalMonodromyResult(p, group, f"family-table-{p}", (center, k))
-    return _tame_result(p, _tame_group(2 * (v % 6), INFINITY))
+    return _tame_result(p, _tame_group(2 * v, INFINITY))
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
-    """Local monodromy of an arbitrary integral Weierstrass curve at p.
+    """Local monodromy of an arbitrary Weierstrass curve at p.
 
-    Family-form curves take the family's route. Otherwise, for p >= 5 the
-    curve is minimalized and the tame rule applies; at 2 and 3 it is only
-    resolved when the given model is integral at p (else InvalidInputError)
-    and has good reduction there.
+    Family-form curves take the family's route. Otherwise, for p >= 5
+    phi_tame reads the group off this model's v_p(delta) and v_p(c4), short
+    or long form, minimal or not; at 2 and 3 it is only resolved when the
+    given model is integral at p (else InvalidInputError) and has good
+    reduction there.
     """
     if curve.is_family_form():
         return _phi_family(curve.a6, p, valuation(curve.a6, p))
     if p >= 5:
-        return _tame_result(p, phi_tame(minimalize_at_p(curve, p)[0], p))
+        return _tame_result(p, phi_tame(curve, p))
     if any(valuation(a, p) < 0 for a in curve.coefficients):
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"

@@ -161,11 +161,13 @@ class TestCurve:
         assert json.loads(out)["s"] == "-1/2"
 
     def test_negative_first_coefficient_attached_with_equals(self, capsys):
-        # Not argparse's "expected one argument": the library refuses the
-        # long-form model at 433 (delta = -433) with its own message.
+        # Not argparse's "expected one argument": the long-form model is read
+        # and answered. delta = -433, and the reduction at 433 is
+        # multiplicative, so no prime has nontrivial monodromy.
         code, out, err = run(capsys, "curve", "--a=-1,0,0,0,1", "--json")
-        assert (code, out) == (2, "")
-        assert err == "error: minimalization implemented for short-form curves only\n"
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["delta"], data["monodromy"], data["degree"]) == ("-433", [], 1)
 
 
 class TestInvariantsOncePerCurve:
@@ -192,12 +194,13 @@ class TestInvariantsOncePerCurve:
         assert len(self.curves_seen(monkeypatch, "curve", f"--s={s}", "--json")) == 1
 
     def test_general_call_computes_once_per_curve_object(self, monkeypatch):
-        # Not minimal at 5 or at 7: the input and one minimal model at each.
+        # Not minimal at 5 or at 7: the tame rule reads the input's own
+        # valuations, so no minimal model is built.
         seen = self.curves_seen(
             monkeypatch, "curve", "--a", f"0,0,0,{-(35**4)},{2 * 35**6}", "--json"
         )
-        assert len(seen) == 3
-        assert len({id(curve) for curve in seen}) == 3
+        assert len(seen) == 1
+        assert len({id(curve) for curve in seen}) == 1
 
 
 class TestSizeLimit:

@@ -269,13 +269,14 @@ def profile_by_direct_valuations(curve: WeierstrassCurve, p: int) -> tuple:
     )
 
 
-def class_by_direct_valuations(curve: WeierstrassCurve, p: int) -> str | None:
-    """reduction_class_at_p by the textbook criteria on the direct valuations;
-    None for a model that is not minimal at p >= 5 (v_p(c4) >= 4, v_p(c6) >= 6
-    and v_p(delta) >= 12)."""
+def class_by_direct_valuations(curve: WeierstrassCurve, p: int) -> str:
+    """reduction_class_at_p by the textbook criteria on the direct valuations
+    of a p-integral model, first stepped down one (x, y) -> (p^2 x, p^3 y) at
+    a time while it is not minimal at p >= 5 (v_p(c4) >= 4, v_p(c6) >= 6 and
+    v_p(delta) >= 12); v_p(j) is the same on every model."""
     v_delta, v_c4, v_c6, v_j = profile_by_direct_valuations(curve, p)
-    if v_delta >= 12 and v_c4 >= 4 and v_c6 >= 6:
-        return None
+    while v_delta >= 12 and v_c4 >= 4 and v_c6 >= 6:
+        v_delta, v_c4, v_c6 = v_delta - 12, v_c4 - 4, v_c6 - 6
     if v_delta == 0:
         return "good"
     if v_c4 == 0:
@@ -288,16 +289,22 @@ def class_by_direct_valuations(curve: WeierstrassCurve, p: int) -> str | None:
 class TestValuationProfileOracle:
     def test_derived_v_j_agrees(self, rng):
         # reduction_class_at_p derives v_p(j) < 0 as 3 v_p(c4) < v_p(delta);
-        # the oracle values j itself, and refuses non-minimal models by c6 too.
+        # the oracle values j itself, and tells a non-minimal model by c6 too.
         kinds = dict.fromkeys(["short", "scaled", "long", "c4=0"], 0)
         for _ in range(2000):
             p = rng.choice([5, 7, 11, 13, 10007])
             kind = rng.choice(list(kinds))
             a = [0, 0, 0, random_coefficient(rng, p, 9), random_coefficient(rng, p, 13)]
             if kind == "scaled":
-                # Not minimal at p: k >= 1 steps above a model.
+                # Not minimal at p: k >= 1 steps above the unscaled model,
+                # whose class the oracle reads off that model itself.
                 k = rng.randint(1, 3)
-                a[3], a[4] = a[3] * p ** (4 * k), (a[4] or 1) * p ** (6 * k)
+                a[4] = a[4] or 1
+                try:
+                    unscaled = class_by_direct_valuations(WeierstrassCurve(*a), p)
+                except SingularCurveError:
+                    continue
+                a[3], a[4] = a[3] * p ** (4 * k), a[4] * p ** (6 * k)
             elif kind == "long":
                 a[:3] = [rng.randint(-20, 20) for _ in range(3)]
             elif kind == "c4=0":
@@ -309,12 +316,10 @@ class TestValuationProfileOracle:
                 continue
             expected = class_by_direct_valuations(curve, p)
             if kind == "scaled":
-                assert expected is None, (a, p)
-            if expected is None:
-                with pytest.raises(InvalidInputError, match="not minimal"):
-                    reduction_class_at_p(curve, p)
-            else:
-                assert reduction_class_at_p(curve, p) == expected, (a, p)
+                v_delta, v_c4, v_c6, _ = profile_by_direct_valuations(curve, p)
+                assert v_delta >= 12 and v_c4 >= 4 and v_c6 >= 6, (a, p)
+                assert expected == unscaled, (a, p)
+            assert reduction_class_at_p(curve, p) == expected, (a, p)
             kinds[kind] += 1
         assert min(kinds.values()) > 400, kinds
 
@@ -363,11 +368,10 @@ class TestReductionClass:
     )
     def test_not_minimal_refused(self, a4, a6, minimal_class):
         # One step (x, y) -> (5^2 x, 5^3 y) above a minimal model. Read off
-        # this model, y^2 = x^3 + 5^6 would be additive, though y^2 = x^3 + 1
-        # is good at 5: the model is refused, not classified.
+        # this model's own valuations, y^2 = x^3 + 5^6 would look additive,
+        # though y^2 = x^3 + 1 is good at 5: the class is the minimal model's.
         curve = WeierstrassCurve(0, 0, 0, a4, a6)
-        with pytest.raises(InvalidInputError, match="not minimal at p"):
-            reduction_class_at_p(curve, 5)
+        assert reduction_class_at_p(curve, 5) == minimal_class
         assert reduction_class_at_p(minimalize_at_p(curve, 5)[0], 5) == minimal_class
 
     def test_family_good_iff_valuation_multiple_of_6(self, rng):

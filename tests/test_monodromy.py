@@ -261,11 +261,19 @@ class TestPhiTame:
         assert phi_tame(WeierstrassCurve(0, 0, 0, -1, 1), 23) is G.C1
 
     def test_not_minimal_refused_as_input(self):
-        # y^2 = x^3 + 5^6 is not minimal at 5: invalid input (exit 2), not
-        # an internal error, and minimalized it is good there.
-        with pytest.raises(InvalidInputError, match="not minimal at p"):
-            phi_tame(family_curve(5**6), 5)
+        # y^2 = x^3 + 5^6 is not minimal at 5; phi_tame answers for its
+        # minimal model y^2 = x^3 + 1, which is good there.
+        assert phi_tame(family_curve(5**6), 5) is G.C1
         assert phi_tame(minimalize_at_p(family_curve(5**6), 5)[0], 5) is G.C1
+
+    def test_non_integral_model_answers_for_its_minimal_model(self):
+        # y^2 = x^3 + x/625 + 1 is y^2 = x^3 + x + 5^6 over Z_5 (u = 1/5), which
+        # reduces to y^2 = x^3 + x mod 5: good reduction, though this model's
+        # own v_5(delta) = -12 and v_5(c4) = -4.
+        curve = WeierstrassCurve(0, 0, 0, Fraction(1, 625), 1)
+        assert reduction_class_at_p(curve, 5) == "good"
+        assert phi_tame(curve, 5) is G.C1
+        assert phi_general_curve(curve, 5).group is G.C1
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_wild_primes_rejected(self, p):
@@ -458,6 +466,114 @@ class TestPhiGeneralCurve:
 
 
 _CYCLIC = {1: G.C1, 2: G.C2, 3: G.C3, 4: G.C4, 6: G.C6}
+
+
+def coefficient_rule_class(curve: WeierstrassCurve, p: int) -> tuple[str, int]:
+    """Reduction class at p >= 5 of a p-integral curve by a route that shares
+    nothing with the library's rule: the short model y^2 = x^3 + A x + B,
+    A = -27 c4 and B = -54 c6 (the curve's model with u = 1/6, a unit at p),
+    minimalized by its coefficients, min(v_p(A) // 4, v_p(B) // 6) steps over
+    the nonzero ones, then classified by the textbook criteria on delta, c4
+    and j of that minimal model. Returns (class, v_p(delta_min))."""
+    inv = compute_invariants(curve)
+    a, b = -27 * inv.c4, -54 * inv.c6
+    k = min(valuation(x, p) // w for x, w in ((a, 4), (b, 6)) if x)
+    a, b = a / Fraction(p) ** (4 * k), b / Fraction(p) ** (6 * k)
+    delta = -16 * (4 * a**3 + 27 * b**2)
+    v_delta = valuation(delta, p)
+    if v_delta == 0:
+        return "good", v_delta
+    if a and valuation(a, p) == 0:
+        return "multiplicative", v_delta
+    if a and valuation((-48 * a) ** 3 / delta, p) < 0:
+        return "additive-potentially-multiplicative", v_delta
+    return "additive-potentially-good", v_delta
+
+
+def coefficient_rule_group(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
+    """phi_tame by coefficient_rule_class and the order 12 / gcd(v_p(delta_min),
+    12)."""
+    klass, v_delta = coefficient_rule_class(curve, p)
+    if klass in ("good", "multiplicative"):
+        return G.C1
+    if klass == "additive-potentially-multiplicative":
+        return G.C2
+    return _CYCLIC[12 // math.gcd(int(v_delta), 12)]
+
+
+def random_long_form(rng: random.Random, p: int) -> list[int]:
+    """Integral coefficients a1, a2, a3, a4, a6 of a long-form model at p:
+    a short model y^2 = x^3 + A x + B that is arbitrary, has a node mod p
+    (multiplicative) or is a node's twist by p (potentially multiplicative),
+    moved by x -> x + r, y -> y + s x + t (u = 1) and then 0..2 steps
+    (x, y) -> (p^2 x, p^3 y) further from its minimal model."""
+    kind = rng.choice(("any", "node", "twisted node"))
+    if kind == "any":
+        A = rng.randint(-30, 30) * p ** rng.randrange(0, 6)
+        B = rng.randint(-30, 30) * p ** rng.randrange(0, 9)
+    else:
+        m = rng.randint(1, 9)
+        A = -3 * m * m
+        B = 2 * m**3 + rng.choice((-1, 1)) * rng.randint(1, 9) * p ** rng.randint(1, 8)
+        if kind == "twisted node":
+            A, B = A * p**2, B * p**3
+    r, s, t = (rng.randint(-9, 9) for _ in range(3))
+    k = rng.randrange(0, 3)
+    a4, a6 = A + 3 * r * r - 2 * s * t, B + r * A + r**3 - t * t
+    a = [2 * s, 3 * r - s * s, 2 * t, a4, a6]
+    return [c * p ** (w * k) for c, w in zip(a, (1, 2, 3, 4, 6))]
+
+
+class TestAnyModelAtTamePrimes:
+    def test_long_form_matches_short_model(self):
+        rng = random.Random(2400)
+        classes = {}
+        for _ in range(600):
+            p = rng.choice((5, 7, 11, 13))
+            a = random_long_form(rng, p)
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            klass, _ = coefficient_rule_class(curve, p)
+            group = coefficient_rule_group(curve, p)
+            assert reduction_class_at_p(curve, p) == klass, (a, p)
+            assert phi_tame(curve, p) is group, (a, p)
+            assert phi_general_curve(curve, p).group is group, (a, p)
+            entry = curve_report(curve).local_at(p)
+            assert (G.C1 if entry is None else entry.group) is group, (a, p)
+            classes[klass] = classes.get(klass, 0) + 1
+        assert len(classes) == 4 and min(classes.values()) > 50, classes
+
+    def test_invariant_under_powers_of_p(self):
+        # (x, y) -> (u^2 x, u^3 y) with u = p^k divides a_i by u^i: the same
+        # curve, so the same answers, on models that are not minimal (k < 0)
+        # or not integral (k > 0) at p; family-form models take the family's
+        # route in phi_general_curve.
+        rng = random.Random(2401)
+        for _ in range(300):
+            p = rng.choice((5, 7, 11, 13))
+            a = random_long_form(rng, p)
+            if rng.random() < 0.25:
+                a[:4] = [0, 0, 0, 0]
+            elif rng.random() < 0.3:
+                a[:3] = [0, 0, 0]
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            klass, _ = coefficient_rule_class(curve, p)
+            group = coefficient_rule_group(curve, p)
+            general = phi_general_curve(curve, p)
+            assert general.group is group, (a, p)
+            for k in range(-2, 3):
+                u = Fraction(p) ** k
+                scaled = WeierstrassCurve(
+                    *(c / u**w for c, w in zip(a, (1, 2, 3, 4, 6)))
+                )
+                assert reduction_class_at_p(scaled, p) == klass, (a, p, k)
+                assert phi_tame(scaled, p) is group, (a, p, k)
+                assert phi_general_curve(scaled, p) == general, (a, p, k)
 
 
 def valuation_route_family_report(s: Fraction):
