@@ -249,12 +249,14 @@ def sweep_record(s: int) -> dict:
 def cmd_sweep(args) -> int:
     """Write one JSON record per s in the range to --out, then the summary.
 
-    Records are written a block of SWEEP_BLOCK at a time, in ascending s,
-    and the summary is counted as they go, so memory does not grow with the
-    range. --out is opened before any record is computed: an unwritable path
-    exits 2 with no work done, but a record that raises later (exit 2 over a
-    size limit, exit 4 on an internal error) leaves the blocks before it in
-    the file.
+    Records for range(--from, --to + 1, --step) are written a block of
+    SWEEP_BLOCK at a time, in ascending s (a negative step keeps the stop
+    --to + 1: --from 10 --to 1 --step -1 writes s = 3..10, --step -3 writes
+    4, 7, 10), and the summary is counted as they go, so memory does not grow
+    with the range. --out is opened before any record is computed: an
+    unwritable path exits 2 with no work done, but a record that raises
+    later (exit 2 over a size limit, exit 4 on an internal error) leaves the
+    blocks before it in the file.
     """
     if args.step == 0:
         raise InvalidInputError("--step must not be 0")

@@ -1,6 +1,6 @@
 """Weierstrass equations over Q: invariants, the family y^2 = x^3 + s, and
 the minimal model at p >= 5, one rule (_minimal_steps) on v_p(delta) and
-v_p(c4) that reduction_class_at_p and minimalize_at_p both read.
+v_p(c4), which _tame_valuations alone reads off a model, for every p >= 5 rule.
 
 Sign convention note: we use the standard c6 = -b2^3 + 36 b2 b4 - 216 b6,
 which gives c6 = -864 s for the family curve (0,0,0,0,s). Some tables print
@@ -121,12 +121,17 @@ def family_curve(s: Rational) -> WeierstrassCurve:
     return WeierstrassCurve(0, 0, 0, 0, s)
 
 
-def _require_tame_prime(p: int) -> None:
+def _tame_valuations(curve: WeierstrassCurve, p: int) -> tuple[int, int | float]:
+    """(v_p(delta), v_p(c4)) of this model (INFINITY when c4 = 0) at p >= 5;
+    UnsupportedPrimeError at 2 and 3, InvalidInputError (from valuation) at a
+    p that is not prime."""
     if p in (2, 3):
         raise UnsupportedPrimeError(
             "only p >= 5 supported; reduction at 2 and 3 is handled through "
             "the family's tabulated valuation ranges"
         )
+    inv = curve.invariants
+    return valuation(inv.delta, p), valuation(inv.c4, p)
 
 
 def _minimal_steps(v_delta: int, v_c4: int | float) -> int:
@@ -144,15 +149,13 @@ def minimalize_at_p(
     curve: WeierstrassCurve, p: int
 ) -> tuple[WeierstrassCurve, int]:
     """Minimal model at p >= 5 of a short-form curve integral at p (else
-    InvalidInputError), and the _minimal_steps it took, each the substitution
-    (x, y) -> (p^2 x, p^3 y) dividing (a4, a6) by (p^4, p^6)."""
-    _require_tame_prime(p)
+    InvalidInputError), and the _minimal_steps on its _tame_valuations, each
+    the substitution (x, y) -> (p^2 x, p^3 y) dividing (a4, a6) by (p^4, p^6)."""
+    steps = _minimal_steps(*_tame_valuations(curve, p))
     if not curve.is_short_form():
         raise InvalidInputError(
             "minimalization implemented for short-form curves only"
         )
-    inv = curve.invariants
-    steps = _minimal_steps(valuation(inv.delta, p), valuation(inv.c4, p))
     if steps < 0:
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"
@@ -164,12 +167,10 @@ def minimalize_at_p(
 
 
 def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:
-    """Reduction type at p >= 5 of any model, minimal or integral at p or not:
-    'good', 'multiplicative', 'additive-potentially-good' or
-    'additive-potentially-multiplicative', by _reduction_class."""
-    _require_tame_prime(p)
-    inv = curve.invariants
-    return _reduction_class(valuation(inv.delta, p), valuation(inv.c4, p))
+    """Reduction type at p >= 5 of any model, minimal or integral at p or not,
+    _reduction_class of its _tame_valuations: 'good', 'multiplicative',
+    'additive-potentially-good' or 'additive-potentially-multiplicative'."""
+    return _reduction_class(*_tame_valuations(curve, p))
 
 
 def _reduction_class(v_delta: int, v_c4: int | float) -> str:

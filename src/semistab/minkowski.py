@@ -42,14 +42,16 @@ def _exponent(g: int, p: int) -> int:
     return total
 
 
+def _exponents(g: int) -> dict[int, int]:
+    """{p: r(g, p)} over the primes p <= 2g + 1, each r >= 1 (p - 1 <= 2g)."""
+    return {p: _exponent(g, p) for p in primes_up_to(2 * g + 1)}
+
+
 def minkowski_bound(g: int) -> int:
-    """M(2g), the exact product of p^r(g,p) over primes p <= 2g + 1."""
+    """M(2g), the exact product of p^r(g,p) over _exponents(g)."""
     if g < 1:
         raise InvalidInputError("g must be a positive integer")
-    bound = 1
-    for p in primes_up_to(2 * g + 1):
-        bound *= p ** _exponent(g, p)
-    return bound
+    return math.prod(p**e for p, e in _exponents(g).items())
 
 
 def gl_cardinality(n: int, m: int) -> int:
@@ -79,10 +81,7 @@ def asymptotic_ratio_diagnostic(n: int) -> float:
     """
     if n < 2 or n % 2 != 0:
         raise InvalidInputError("n must be an even integer >= 2")
-    g = n // 2
-    log_m = math.fsum(
-        _exponent(g, p) * math.log(p) for p in primes_up_to(n + 1)
-    )
+    log_m = math.fsum(e * math.log(p) for p, e in _exponents(n // 2).items())
     log_fact = math.lgamma(n + 1)
     return math.exp((log_m - log_fact) / n)
 
@@ -98,8 +97,8 @@ class MinkowskiReport:
 
     @classmethod
     def build(cls, g: int, gl_modulus: int = 12) -> "MinkowskiReport":
-        # Every prime p <= 2g + 1 has p - 1 <= 2g, so r(g, p) >= 1.
-        exponents = {p: _exponent(g, p) for p in primes_up_to(2 * g + 1)}
+        """The row of g: _exponents(g), M(2g) and |GL_2g(Z/gl_modulus)|."""
+        exponents = _exponents(g)
         return cls(
             g=g,
             exponents=exponents,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, Rational, factorize, residue, valuation
-from .curves import WeierstrassCurve, _reduction_class, _require_tame_prime
+from .curves import WeierstrassCurve, _reduction_class, _tame_valuations
 from .errors import (
     InvalidInputError,
     NotTabulatedError,
@@ -207,10 +207,8 @@ def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     """Monodromy group at a tame prime p >= 5 of any model of the curve,
-    minimal or integral at p or not: _tame_group on v_p(delta) and v_p(c4)."""
-    _require_tame_prime(p)
-    inv = curve.invariants
-    return _tame_group(valuation(inv.delta, p), valuation(inv.c4, p))
+    minimal or integral at p or not: _tame_group on its _tame_valuations."""
+    return _tame_group(*_tame_valuations(curve, p))
 
 
 def bad_primes(s: Fraction) -> dict[int, int]:
@@ -248,16 +246,15 @@ def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     """Local monodromy of an arbitrary Weierstrass curve at p.
 
-    Family-form curves take the family's route. Otherwise, for p >= 5
-    phi_tame reads the group off this model's v_p(delta) and v_p(c4), short
-    or long form, minimal or not; at 2 and 3 it is only resolved when the
-    given model is integral at p (else InvalidInputError) and has good
+    Every p outside FAMILY_TABLES goes to phi_tame, whatever the model. At 2
+    and 3 family-form curves take the family's tables; any other model is
+    resolved only when integral at p (else InvalidInputError) and of good
     reduction there.
     """
+    if p not in FAMILY_TABLES:
+        return _tame_result(p, phi_tame(curve, p))
     if curve.is_family_form():
         return _phi_family(curve.a6, p, valuation(curve.a6, p))
-    if p >= 5:
-        return _tame_result(p, phi_tame(curve, p))
     if any(valuation(a, p) < 0 for a in curve.coefficients):
         raise InvalidInputError(
             f"curve is not integral at {p}; clear denominators first"

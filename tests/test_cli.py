@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -760,6 +762,26 @@ class TestParserConstruction:
     )
     def test_other_argv_builds_all_seven(self, monkeypatch, argv):
         assert len(self.parsers_built(monkeypatch, argv)) == 7
+
+
+class TestTracedNames:
+    """bench/tracing.py wraps the functions it names by getattr on the
+    package's modules, so a renamed or deleted one breaks the traced runs.
+    The file is parsed, not imported, so the test leaves bench/ untouched."""
+
+    def test_every_traced_name_is_a_package_callable(self):
+        source = Path(__file__).parents[1] / "bench" / "tracing.py"
+        lists = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SPANNED", "COUNTED")
+        }
+        assert set(lists) == {"SPANNED", "COUNTED"}
+        for module, name in lists["SPANNED"] + lists["COUNTED"]:
+            fn = getattr(importlib.import_module(f"semistab.{module}"), name, None)
+            assert callable(fn), f"{module}.{name}"
 
 
 class TestCurveLargeShape:

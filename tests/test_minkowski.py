@@ -197,3 +197,133 @@ class TestReport:
                 product *= p**e
             assert product == report.bound
             assert all(p - 1 <= 2 * g for p in report.exponents)
+
+
+def small_primes(limit: int) -> list[int]:
+    """The primes up to limit, by trial division."""
+    return [q for q in range(2, limit + 1) if all(q % d for d in range(2, q))]
+
+
+def sylow_permutations(m: int, ell: int) -> list[tuple[int, ...]]:
+    """Generators of an ell-Sylow subgroup of S_m, each a tuple of images.
+
+    range(m) splits into blocks of ell^k points, one per unit of the base-ell
+    digit of m at k. On a block, the k permutations that rotate the ell runs
+    of ell^j points at its start (j < k) generate the iterated wreath product
+    C_ell wr ... wr C_ell, an ell-Sylow subgroup of S_(ell^k).
+    """
+    gens = []
+    start, k, rest = 0, 0, m
+    while rest:
+        rest, digit = divmod(rest, ell)
+        for _ in range(digit):
+            for j in range(k):
+                run = ell**j
+                perm = list(range(m))
+                for a in range(run):
+                    for b in range(ell):
+                        perm[start + a + b * run] = start + a + (b + 1) % ell * run
+                gens.append(tuple(perm))
+            start += ell**k
+        k += 1
+    return gens
+
+
+def attaining_generators(g: int, ell: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Integer matrices generating a finite ell-subgroup of GL_2g(Z) whose
+    order should have ell-part ell^r(g, ell).
+
+    m = 2g // (ell - 1) diagonal blocks, each the companion matrix of the
+    ell-th cyclotomic polynomial (order ell), permuted by the ell-Sylow
+    subgroup of S_m; the coordinates past the blocks are fixed. At ell = 2
+    the blocks are the 1 x 1 matrix -1, so this is the 2-Sylow subgroup of
+    the signed permutation matrices, of order 2^(n + v2(n!)), n = 2g.
+    """
+    n = 2 * g
+
+    def matrix(entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), x in entries.items():
+            rows[i][j] = x
+        return tuple(map(tuple, rows))
+
+    d = ell - 1
+    m = n // d
+    gens = []
+    for block in range(m):
+        o = block * d
+        # multiplication by x on Z[x]/(1 + x + ... + x^d) in the basis
+        # 1, ..., x^(d-1): x^t -> x^(t+1), and x^(d-1) -> -(1 + ... + x^(d-1))
+        companion = {(o + t, o + t): 0 for t in range(d)}
+        companion |= {(o + t + 1, o + t): 1 for t in range(d - 1)}
+        companion |= {(o + t, o + d - 1): -1 for t in range(d)}
+        gens.append(matrix(companion))
+    for perm in sylow_permutations(m, ell):
+        moved = {(i, i): 0 for i in range(m * d)}
+        moved |= {
+            (p * d + t, b * d + t): 1 for b, p in enumerate(perm) for t in range(d)
+        }
+        gens.append(matrix(moved))
+    return gens
+
+
+def group_order(n: int, gens: list[tuple[tuple[int, ...], ...]]) -> int:
+    """The order of the group the n x n integer matrices gens generate, by
+    closing {1} under right multiplication by the generators."""
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for b in gens:
+                product = tuple(
+                    tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                    for row in a
+                )
+                if product not in seen:
+                    seen.add(product)
+                    grown.append(product)
+        assert len(seen) <= 4096, "group is not finite, or larger than expected"
+        frontier = grown
+    return len(seen)
+
+
+class TestExponentsByIndependentRoutes:
+    """r(g, ell) and M(2g) against two routes that use no formula of the
+    library: finite subgroups of GL_2g(Z) that attain the ell-part, and the
+    gcd of |GL_2g(F_q)| over odd primes q, into which every finite subgroup
+    of GL_2g(Z) injects."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_groups_attain_each_prime_part(self, g):
+        # Primes up to 2g + 3: past 2g + 1 there is no block, so the group
+        # is trivial and r(g, ell) = 0.
+        orders = {}
+        for ell in small_primes(2 * g + 3):
+            order = orders[ell] = group_order(2 * g, attaining_generators(g, ell))
+            r = 0
+            while order % ell == 0:
+                order //= ell
+                r += 1
+            assert order == 1, (g, ell, orders[ell])
+            assert minkowski_exponent(g, ell) == r, (g, ell)
+        assert minkowski_bound(g) == math.prod(orders.values())
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_gcd_over_reductions(self, g):
+        # Measured for g = 1..5 only: the odd parts agree, and the gcd's
+        # 2-part is larger by exactly 2^g (48/24, 23040/5760, ...), where
+        # the bound is tight only up to its 2-part.
+        n = 2 * g
+        gcd = 0
+        for q in small_primes(399)[1:]:
+            gcd = math.gcd(gcd, math.prod(q**n - q**i for i in range(n)))
+        bound = minkowski_bound(g)
+        two = gcd & -gcd
+        assert gcd // two == bound // (bound & -bound)
+        assert two == (bound & -bound) * 2**g
+        assert two == 2 ** (minkowski_exponent(g, 2) + g)
+        for ell in small_primes(2 * g + 1)[1:]:
+            r = minkowski_exponent(g, ell)
+            assert gcd % ell**r == 0 and gcd % ell ** (r + 1) != 0, (g, ell)

@@ -20,11 +20,13 @@ from semistab.curves import (
 from semistab.errors import (
     InvalidInputError,
     NotTabulatedError,
+    SemistabError,
     SingularCurveError,
     UnsupportedPrimeError,
 )
 from semistab.monodromy import (
     FAMILY_TABLES,
+    LocalMonodromyResult,
     MonodromyGroup,
     _degree_report,
     bad_primes,
@@ -442,6 +444,19 @@ class TestPhiGeneralCurve:
         assert result.provenance == "family-table-3"
         result2 = phi_general_curve(family_curve(4), 2)
         assert result2.group is phi_family_at_2(4)
+        # At p >= 5 a family curve goes to phi_tame like any model, and must
+        # give family_report's entry at p, or C1 where the report has none.
+        for p in (5, 7, 11):
+            for v in range(-12, 13):
+                for u in (1, -2, 3, Fraction(-17, 4)):
+                    s = u * Fraction(p) ** v
+                    result = phi_general_curve(family_curve(s), p)
+                    entry = family_report(s).local_at(p)
+                    if entry is None:
+                        assert result.group is G.C1, (s, p)
+                        assert result.provenance == "good-reduction", (s, p)
+                    else:
+                        assert result == entry, (s, p)
 
     def test_non_family_bad_at_2_refused(self):
         curve = WeierstrassCurve(0, 0, 0, -1, 0)  # delta = 64
@@ -463,6 +478,125 @@ class TestPhiGeneralCurve:
         result = phi_general_curve(family_curve(5), 5)
         assert result.provenance == "tame-rule"
         assert result.group is G.C6
+
+
+class TestTameRefusalContract:
+    """What the four per-prime entry points return or raise at 2, 3, 5 and 7
+    and at numbers that are not prime, on a short-form, a long-form, a family
+    and a non-integral model (a4 = 1/2500, not integral at 2 and 5). A p
+    that is not prime is refused alike by all four."""
+
+    MODELS = {
+        "short": WeierstrassCurve(0, 0, 0, -1, 0),  # delta = 64
+        "long": WeierstrassCurve(-1, 0, 0, 0, 1),  # delta = -433
+        "family": family_curve(5 * 7**2),
+        "non-integral": WeierstrassCurve(0, 0, 0, Fraction(1, 2500), 1),
+    }
+    WILD = (
+        UnsupportedPrimeError,
+        "only p >= 5 supported; reduction at 2 and 3 is handled through the "
+        "family's tabulated valuation ranges",
+    )
+    TABLES_ONLY = (
+        NotTabulatedError,
+        "monodromy at 2 is tabulated only for family curves y^2 = x^3 + s",
+    )
+    LONG = (
+        InvalidInputError,
+        "minimalization implemented for short-form curves only",
+    )
+
+    # Outcomes at p = 2, 3, 5, 7: the group label, "label provenance" for
+    # phi_general_curve, the class, the steps of minimalize_at_p, or the
+    # (type, message) of the refusal.
+    OUTCOMES = {
+        phi_tame: {
+            "short": (WILD, WILD, "C1", "C1"),
+            "long": (WILD, WILD, "C1", "C1"),
+            "family": (WILD, WILD, "C6", "C3"),
+            "non-integral": (WILD, WILD, "C1", "C1"),
+        },
+        phi_general_curve: {
+            "short": (
+                TABLES_ONLY,
+                "C1 good-reduction",
+                "C1 good-reduction",
+                "C1 good-reduction",
+            ),
+            "long": (
+                "C1 good-reduction",
+                "C1 good-reduction",
+                "C1 good-reduction",
+                "C1 good-reduction",
+            ),
+            "family": (
+                "C3 family-table-2",
+                "Dic3 family-table-3",
+                "C6 tame-rule",
+                "C3 tame-rule",
+            ),
+            "non-integral": (
+                (
+                    InvalidInputError,
+                    "curve is not integral at 2; clear denominators first",
+                ),
+                "C1 good-reduction",
+                "C1 good-reduction",
+                "C1 good-reduction",
+            ),
+        },
+        reduction_class_at_p: {
+            "short": (WILD, WILD, "good", "good"),
+            "long": (WILD, WILD, "good", "good"),
+            "family": (
+                WILD,
+                WILD,
+                "additive-potentially-good",
+                "additive-potentially-good",
+            ),
+            "non-integral": (WILD, WILD, "good", "good"),
+        },
+        minimalize_at_p: {
+            "short": (WILD, WILD, 0, 0),
+            "long": (WILD, WILD, LONG, LONG),
+            "family": (WILD, WILD, 0, 0),
+            "non-integral": (
+                WILD,
+                WILD,
+                (
+                    InvalidInputError,
+                    "curve is not integral at 5; clear denominators first",
+                ),
+                0,
+            ),
+        },
+    }
+
+    @staticmethod
+    def outcome(fn, curve, p):
+        try:
+            value = fn(curve, p)
+        except SemistabError as exc:
+            return type(exc), str(exc)
+        if isinstance(value, MonodromyGroup):
+            return value.label
+        if isinstance(value, LocalMonodromyResult):
+            return f"{value.group.label} {value.provenance}"
+        if isinstance(value, tuple):  # minimalize_at_p: (model, steps)
+            return value[1]
+        return value
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize(
+        "fn", [phi_tame, phi_general_curve, reduction_class_at_p, minimalize_at_p]
+    )
+    def test_outcomes(self, fn, model):
+        curve = self.MODELS[model]
+        for p, expected in zip((2, 3, 5, 7), self.OUTCOMES[fn][model]):
+            assert self.outcome(fn, curve, p) == expected, (p, expected)
+        for p in (4, 25, 1, 0, -5):
+            expected = (InvalidInputError, f"{p} is not prime")
+            assert self.outcome(fn, curve, p) == expected, p
 
 
 _CYCLIC = {1: G.C1, 2: G.C2, 3: G.C3, 4: G.C4, 6: G.C6}
@@ -548,8 +682,8 @@ class TestAnyModelAtTamePrimes:
     def test_invariant_under_powers_of_p(self):
         # (x, y) -> (u^2 x, u^3 y) with u = p^k divides a_i by u^i: the same
         # curve, so the same answers, on models that are not minimal (k < 0)
-        # or not integral (k > 0) at p; family-form models take the family's
-        # route in phi_general_curve.
+        # or not integral (k > 0) at p; family-form models included, which
+        # phi_general_curve sends to phi_tame like any other model.
         rng = random.Random(2401)
         for _ in range(300):
             p = rng.choice((5, 7, 11, 13))
