@@ -17,7 +17,8 @@ the parent's Cayley table. A deck group acts regularly, so its elements are
 numbered by the image of point 0 and its Cayley table is its element list.
 
 The subgroup lattice is built one conjugacy class at a time: only one
-representative per class is extended, and the rest of the class comes from
+representative R per class is extended, by one element per orbit of its
+normalizer N_G(R) on the cosets of R, and the rest of the class comes from
 its conjugates (enumerate_subgroups), each new representative checked by
 orbit-stabilizer. The classification's covering route rests on a lemma:
 the minimal subgroups that contain a conjugate of I are the conjugates of I.
@@ -89,8 +90,15 @@ def perm_order(a: Perm) -> int:
     return order
 
 
+def _check_degree_at_least_one(n: int) -> None:
+    if n < 1:
+        raise InvalidInputError(f"cover degree must be at least 1, got {n}")
+
+
 def check_degree(n: int) -> None:
-    """Refuse a cover degree over MAX_DEGREE, before anything of size n is built."""
+    """Refuse a cover degree below 1 or over MAX_DEGREE, before anything of
+    size n is built."""
+    _check_degree_at_least_one(n)
     if n > MAX_DEGREE:
         raise SizeLimitError(f"degree {n} exceeds limit {MAX_DEGREE}")
 
@@ -292,15 +300,24 @@ class _GroupIndex:
 
     def is_subgroup(self, mask: int) -> bool:
         """Whether the bitmask is a subset of G that contains the identity and
-        is closed under products."""
+        is closed under products.
+
+        The span of the members grows one generator at a time, the lowest
+        member not yet spanned, and the answer is False as soon as it leaves
+        the mask. The span is always a subgroup and ends up holding every
+        member, so it stays inside the mask exactly when the mask is a
+        subgroup; a mask without the identity leaves at the first step.
+        """
         if mask <= 0 or mask >= 1 << self.order:
             return False
-        members = self.members(mask)
-        closed = set(members)
-        return self.identity in closed and all(
-            closed.issuperset(map(self.table[a].__getitem__, members))
-            for a in members
-        )
+        gens: list[int] = []
+        span = 1 << self.identity
+        while rest := mask & ~span:
+            gens.append((rest & -rest).bit_length() - 1)
+            span = self.close(gens)
+            if span & ~mask:
+                return False
+        return True
 
     def close(self, gens: list[int]) -> int:
         """The bitmask of the subgroup generated by the numbered elements gens."""
@@ -369,49 +386,61 @@ class _GroupIndex:
             self._classes[mask] = number
         return number
 
-    def _check_orbit_stabilizer(self, mask: int, gens: list[int]) -> None:
-        """Raise unless |N_G(R)| * |conjugates(R)| = |G| for R = <gens> = mask.
+    def _normalizer(self, mask: int, gens: list[int]) -> list[int]:
+        """The numbers of N_G(R) for R = <gens> = mask, checked by
+        orbit-stabilizer: raise unless |N_G(R)| * |conjugates(R)| = |G|.
 
         g normalizes R when g r g^-1 lies in R for each generator r, read off
         the Cayley table and the inverses, not off conjugates.
         """
         table, inverse = self.table, self.inverse
-        normalizer = 0
-        for row, g_inv in zip(table, inverse):
+        normalizer = []
+        for g, (row, g_inv) in enumerate(zip(table, inverse)):
             for r in gens:
                 if not mask >> table[row[r]][g_inv] & 1:
                     break
             else:
-                normalizer += 1
+                normalizer.append(g)
         count = len(self.conjugates(mask))
-        if normalizer * count != self.order:
+        if len(normalizer) * count != self.order:
             raise TheoremViolationError(
-                f"|N_G(R)| = {normalizer} times {count} conjugates of R "
+                f"|N_G(R)| = {len(normalizer)} times {count} conjugates of R "
                 f"(order {mask.bit_count()}) is not |G| = {self.order}"
             )
+        return normalizer
 
     @functools.cached_property
     def subgroups(self) -> "tuple[Subgroup, ...]":
         """Every subgroup, as enumerate_subgroups describes."""
+        table, inverse = self.table, self.inverse
         trivial = 1 << self.identity
         known = {trivial}
-        # one subgroup bitmask per conjugacy class -> its generators
-        reps: dict[int, list[int]] = {trivial: []}
+        # one subgroup bitmask per conjugacy class -> its generators and the
+        # numbers of its normalizer (all of G for the trivial subgroup)
+        reps: dict[int, tuple[list[int], list[int]]] = {
+            trivial: ([], list(range(self.order)))
+        }
         frontier = [trivial]
         while frontier:
             nxt = []
             for sub in frontier:
-                gens, members = reps[sub], self.members(sub)
+                (gens, normalizer), members = reps[sub], self.members(sub)
                 tried = sub
                 for x in range(self.order):
                     if tried >> x & 1:
                         continue
-                    tried |= self.mask(self.table[x][h] for h in members)
+                    # Mark the left cosets in the orbit of xR under
+                    # conjugation by N_G(R): n(xR)n^-1 = (nxn^-1)R.
+                    for y in {table[table[n][x]][inverse[n]] for n in normalizer}:
+                        if not tried >> y & 1:
+                            tried |= self.mask(table[y][h] for h in members)
                     extended = self.close(gens + [x])
                     if extended not in known:
-                        self._check_orbit_stabilizer(extended, gens + [x])
+                        new_gens = gens + [x]
+                        reps[extended] = (
+                            new_gens, self._normalizer(extended, new_gens)
+                        )
                         known.update(self.conjugates(extended))
-                        reps[extended] = gens + [x]
                         nxt.append(extended)
             frontier = nxt
         subs = [Subgroup(self.group, sub) for sub in known]
@@ -432,19 +461,26 @@ def enumerate_subgroups(group: PermutationGroup) -> list[Subgroup]:
     """All subgroups, by extension one element at a time, one conjugacy
     class at a time.
 
-    Starting from the trivial subgroup, extend one representative H of each
-    known conjugacy class by one element x per left coset xH (since
-    <H, x> = <H, xh>) and close, until no new subgroup appears. A new
-    extension becomes its class's representative, and all its conjugates
-    (_GroupIndex.conjugates) join the known subgroups. Every subgroup is
-    reached: it is the last link of a chain <x1> < <x1, x2> < ..., and if
-    K = <H, x> and R = gHg^-1 is H's representative, then
-    gKg^-1 = <R, gxg^-1> comes out of R's expansion, and K is one of its
-    conjugates. Each new representative R is checked by orbit-stabilizer,
-    |N_G(R)| * |conjugates(R)| = |G|, and TheoremViolationError is raised
-    when it fails. Output is deterministic: sorted by order, then by element
-    set. A group over MAX_GROUP_ORDER elements (possible only for one built
-    directly, not by generate) raises SizeLimitError.
+    Starting from the trivial subgroup, extend one representative R of each
+    known conjugacy class by one element x per orbit of its normalizer
+    N_G(R), acting by conjugation on the left cosets xR, and close, until no
+    new subgroup appears. A new extension becomes its class's
+    representative, and all its conjugates (_GroupIndex.conjugates) join the
+    known subgroups. Every subgroup is reached: it is the last link of a
+    chain <x1> < <x1, x2> < ..., and
+    - if K = <H, x> and R = gHg^-1 is H's representative, then
+      gKg^-1 = <R, gxg^-1>, and K is one of its conjugates;
+    - <R, y> = <R, yr> for r in R, so one y per left coset yR will do;
+    - for n in N_G(R), <R, nyn^-1> = n<R, y>n^-1, since nRn^-1 = R, and
+      n(yR)n^-1 = (nyn^-1)R; so one coset per N_G(R)-orbit reaches a
+      conjugate of every <R, y>, and its whole class joins with it.
+    For the trivial R that is one x per conjugacy class of G. Each new
+    representative R is checked by orbit-stabilizer, |N_G(R)| *
+    |conjugates(R)| = |G|, in the same walk over G that lists N_G(R), and
+    TheoremViolationError is raised when it fails. Output is deterministic:
+    sorted by order, then by element set. A group over MAX_GROUP_ORDER
+    elements (possible only for one built directly, not by generate) raises
+    SizeLimitError.
     """
     if group.order > MAX_GROUP_ORDER:
         raise SizeLimitError(
@@ -466,10 +502,7 @@ class FiniteCover:
     generators: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidInputError(
-                f"cover degree must be at least 1, got {self.degree}"
-            )
+        _check_degree_at_least_one(self.degree)
         object.__setattr__(
             self,
             "generators",

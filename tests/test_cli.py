@@ -505,6 +505,15 @@ class TestGalois:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_nonpositive_degree_refused_before_parsing(self, capsys, degree):
+        # A point of "(1 2)" lies outside 1..degree; the degree is refused
+        # first, with the cover's own message.
+        code, out, err = run(capsys, "galois", "--degree", str(degree), "--gens", "(1 2)")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cover degree must be at least 1, got {degree}\n"
+
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(closure, sub, reps):
             raise TheoremViolationError("routes disagree")

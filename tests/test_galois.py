@@ -223,6 +223,20 @@ def reference_subgroups(group: PermutationGroup) -> list[int]:
     return sorted(known, key=lambda mask: (mask.bit_count(), index.members(mask)))
 
 
+def closed_under_compose(group: PermutationGroup, mask: int) -> bool:
+    """Independent oracle for _GroupIndex.is_subgroup: the mask's bits name
+    elements of sorted_elements(), include the identity, and the products of
+    every pair, taken with `compose`, stay among them. No Cayley table."""
+    if mask <= 0 or mask >> group.order:
+        return False
+    members = {
+        x for i, x in enumerate(group.sorted_elements()) if mask >> i & 1
+    }
+    return identity(group.degree) in members and all(
+        compose(a, b) in members for a in members for b in members
+    )
+
+
 def random_transitive_cover(rng, max_degree=6) -> FiniteCover:
     while True:
         n = rng.randrange(2, max_degree + 1)
@@ -535,6 +549,40 @@ class TestSubgroupEnumeration:
             classes.setdefault(index.conjugates(mask), []).append(mask)
         for conjugates, members in classes.items():
             assert set(members) == set(conjugates)
+
+    def test_normalizer_orbits_match_reference_beyond_named_covers(self, rng):
+        # S5, where most subgroups have a proper normalizer, and 30 seeded
+        # random covers of degree <= 6. A deck group over order 120 (A6, S6)
+        # is replaced by the next draw: the reference walk takes 1-14 s on it.
+        decks = [galois_closure(S5_COVER).deck_group]
+        while len(decks) < 31:
+            deck = galois_closure(random_transitive_cover(rng, 6)).deck_group
+            if deck.order <= 120:
+                decks.append(deck)
+        for deck in decks:
+            masks = [s.mask for s in enumerate_subgroups(deck)]
+            assert masks == reference_subgroups(deck)
+
+    @pytest.mark.parametrize(
+        "cover", [S4XC2_COVER, S5_COVER], ids=["S4xC2", "S5"]
+    )
+    def test_is_subgroup_matches_compose_oracle(self, cover):
+        deck = galois_closure(cover).deck_group
+        index = deck._index
+        full = (1 << deck.order) - 1
+        subgroup_masks = [s.mask for s in enumerate_subgroups(deck)]
+        rng = random.Random(deck.order)
+        flipped = [mask ^ 1 << rng.randrange(deck.order) for mask in subgroup_masks]
+        drawn = [rng.getrandbits(deck.order) for _ in range(200)]
+        drawn += [mask | 1 << index.identity for mask in drawn]
+        out_of_range = [0, -1, -full, 1 << deck.order, full | 1 << deck.order]
+        no_identity = [full & ~(1 << index.identity)] + [
+            mask & ~(1 << index.identity) for mask in subgroup_masks[1:]
+        ]
+        for mask in subgroup_masks + flipped + drawn + out_of_range + no_identity:
+            assert index.is_subgroup(mask) == closed_under_compose(deck, mask)
+        assert all(map(index.is_subgroup, subgroup_masks))
+        assert not any(map(index.is_subgroup, out_of_range + no_identity))
 
     @pytest.mark.parametrize("name", ["S4xC2", "S5"])
     def test_order_is_size_then_sorted_elements(self, name):
