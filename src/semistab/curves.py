@@ -1,6 +1,6 @@
-"""Weierstrass equations over Q: invariants, the family y^2 = x^3 + s, and
-the minimal model at p >= 5, one rule (_minimal_steps) on v_p(delta) and
-v_p(c4), which _tame_valuations alone reads off a model, for every p >= 5 rule.
+"""Weierstrass equations over Q: invariants, the family y^2 = x^3 + s, the
+minimal model at p >= 5 and the reduction type there, read off v_p(delta) and
+v_p(c4) of any model, which _tame_valuations alone reads, for every p >= 5 rule.
 
 Sign convention note: we use the standard c6 = -b2^3 + 36 b2 b4 - 216 b6,
 which gives c6 = -864 s for the family curve (0,0,0,0,s). Some tables print
@@ -134,24 +134,19 @@ def _tame_valuations(curve: WeierstrassCurve, p: int) -> tuple[int, int | float]
     return valuation(inv.delta, p), valuation(inv.c4, p)
 
 
-def _minimal_steps(v_delta: int, v_c4: int | float) -> int:
-    """Steps (x, y) -> (p^2 x, p^3 y) from a model at p >= 5 to the minimal
-    one: k = min(v_c4 // 4, v_delta // 12), v_c4 = INFINITY when c4 = 0. A
-    model is minimal at p >= 5 iff v_p(delta) < 12 or v_p(c4) < 4 (Silverman
-    VII.1); k < 0 exactly when delta or c4 is not p-integral, which for a
-    short-form model means the model is not integral at p."""
-    if v_c4 == INFINITY:  # math.inf // 4 is nan, not +infinity
-        return v_delta // 12
-    return min(v_c4 // 4, v_delta // 12)
-
-
 def minimalize_at_p(
     curve: WeierstrassCurve, p: int
 ) -> tuple[WeierstrassCurve, int]:
     """Minimal model at p >= 5 of a short-form curve integral at p (else
-    InvalidInputError), and the _minimal_steps on its _tame_valuations, each
-    the substitution (x, y) -> (p^2 x, p^3 y) dividing (a4, a6) by (p^4, p^6)."""
-    steps = _minimal_steps(*_tame_valuations(curve, p))
+    InvalidInputError), and the steps to it, each the substitution (x, y) ->
+    (p^2 x, p^3 y) dividing (a4, a6) by (p^4, p^6). A model is minimal at
+    p >= 5 iff v_p(delta) < 12 or v_p(c4) < 4 (Silverman VII.1), so there are
+    min(v_p(c4) // 4, v_p(delta) // 12) steps on its _tame_valuations, fewer
+    than 0 exactly when the model is not integral at p."""
+    v_delta, v_c4 = _tame_valuations(curve, p)
+    steps = v_delta // 12
+    if v_c4 != INFINITY:  # math.inf // 4 is nan, not +infinity
+        steps = min(v_c4 // 4, steps)
     if not curve.is_short_form():
         raise InvalidInputError(
             "minimalization implemented for short-form curves only"
@@ -175,15 +170,11 @@ def reduction_class_at_p(curve: WeierstrassCurve, p: int) -> str:
 
 def _reduction_class(v_delta: int, v_c4: int | float) -> str:
     """reduction_class_at_p from v_p(delta) and v_p(c4) (INFINITY for c4 = 0)
-    of any model: the class of the minimal model, whose valuations are
-    v_delta - 12k and v_c4 - 4k, k = _minimal_steps(v_delta, v_c4). Additive
-    reduction is potentially multiplicative when v_p(j) = 3 v_p(c4) -
-    v_p(delta) < 0, the same on every model."""
-    k = _minimal_steps(v_delta, v_c4)
-    if v_delta == 12 * k:
-        return "good"
-    if v_c4 == 4 * k:
-        return "multiplicative"
+    of any model. v_p(j) = 3 v_p(c4) - v_p(delta) < 0 is the Tate curve
+    (Silverman, Advanced Topics V.5.3); c4^3 - c6^2 = 1728 delta then makes
+    v_p(c4) even, and the minimal model's, v_p(c4) mod 4, is 0 (multiplicative)
+    or 2 (additive). Otherwise the minimal model's v_p(delta) is v_p(delta) mod
+    12: good reduction when that is 0, else additive-potentially-good."""
     if 3 * v_c4 < v_delta:
-        return "additive-potentially-multiplicative"
-    return "additive-potentially-good"
+        return "additive-potentially-multiplicative" if v_c4 % 4 else "multiplicative"
+    return "good" if v_delta % 12 == 0 else "additive-potentially-good"

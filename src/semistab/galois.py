@@ -295,8 +295,12 @@ class _GroupIndex:
 
     @staticmethod
     def members(mask: int) -> list[int]:
-        # bin(mask)[:1:-1] lists the bits from the lowest up.
-        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+        # One step per set bit, lowest first, not one per element of G.
+        found = []
+        while mask:
+            found.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return found
 
     def is_subgroup(self, mask: int) -> bool:
         """Whether the bitmask is a subset of G that contains the identity and
@@ -689,8 +693,7 @@ def _generator_mapping_search(
                     frontier.append(xg)
                 elif image != yh:
                     return False
-        if len(mapping) != len(members_a):
-            return False
+        # The keys are all of A, the identity's closure under A's generators.
         return len(set(mapping.values())) == len(members_a)
 
     candidates = [b_by_order.get(index_a.orders[g], []) for g in gens]

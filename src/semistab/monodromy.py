@@ -182,16 +182,15 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     return _family_ball(2, s, valuation(s, 2))[2]
 
 
-def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
-    """The tame rule (Serre-Tate), from v_p(delta) and v_p(c4) (INFINITY when
-    c4 = 0) of any model at p >= 5, classified by _reduction_class.
+def _tame_group(klass: str, v_delta: int) -> MonodromyGroup:
+    """The tame rule (Serre-Tate) at p >= 5, from the _reduction_class and
+    v_p(delta) of any model.
 
     Good or multiplicative reduction: trivial. Additive potentially
     multiplicative: C2. Additive potentially good: cyclic of order
-    12 / gcd(v_p(delta_min), 12), always in {2, 3, 4, 6}; v_p(delta_min) =
-    v_p(delta) - 12k, so gcd(v_p(delta), 12) is the same gcd.
+    12 / gcd(v_p(delta), 12), always in {2, 3, 4, 6}; every model's
+    v_p(delta) is the minimal model's plus a multiple of 12.
     """
-    klass = _reduction_class(v_delta, v_c4)
     if klass in ("good", "multiplicative"):
         return MonodromyGroup.C1
     if klass == "additive-potentially-multiplicative":
@@ -207,40 +206,46 @@ def _tame_group(v_delta: int, v_c4: int | float) -> MonodromyGroup:
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     """Monodromy group at a tame prime p >= 5 of any model of the curve,
-    minimal or integral at p or not: _tame_group on its _tame_valuations."""
-    return _tame_group(*_tame_valuations(curve, p))
+    minimal or integral at p or not: _tame_result on its _tame_valuations."""
+    return _tame_result(p, *_tame_valuations(curve, p)).group
 
 
 def bad_primes(s: Fraction) -> dict[int, int]:
     """Primes of bad reduction of the minimal model of y^2 = x^3 + s, in
     prime order, each mapped to v_p(s).
 
-    Candidates divide 432 * num(s) * den(s); a candidate p >= 5 is good
-    exactly when v_p(s) = 0 mod 6 (the curve minimalizes to a unit
-    parameter there). 2 and 3 always remain bad (432 = 2^4 * 3^3). The
-    valuations are read off one factorization of num(s) and one of den(s).
+    Candidates divide 432 * num(s) * den(s), and 2 and 3 always remain bad
+    (432 = 2^4 * 3^3); p >= 5 is bad unless _reduction_class of this model,
+    v_p(delta) = 2 v_p(s) and c4 = 0, is good. The valuations are read off
+    one factorization of num(s) and one of den(s).
     """
     # v_p(s) for every p dividing s; numerator and denominator are coprime.
     valuations = factorize(s.numerator)
     valuations.update((p, -e) for p, e in factorize(s.denominator).items())
-    bad = {2, 3} | {p for p, v in valuations.items() if v % 6}
+    bad = {2, 3}.union(
+        p for p, v in valuations.items() if _reduction_class(2 * v, INFINITY) != "good"
+    )
     return {p: valuations.get(p, 0) for p in sorted(bad)}
 
 
-def _tame_result(p: int, group: MonodromyGroup) -> LocalMonodromyResult:
-    provenance = "good-reduction" if group is MonodromyGroup.C1 else "tame-rule"
-    return LocalMonodromyResult(p=p, group=group, provenance=provenance)
+def _tame_result(p: int, v_delta: int, v_c4: int | float) -> LocalMonodromyResult:
+    """_tame_group at p >= 5 from v_p(delta) and v_p(c4) (INFINITY when c4 =
+    0) of any model, labelled by its _reduction_class: good-reduction only
+    for good reduction, else tame-rule."""
+    klass = _reduction_class(v_delta, v_c4)
+    provenance = "good-reduction" if klass == "good" else "tame-rule"
+    return LocalMonodromyResult(p, _tame_group(klass, v_delta), provenance)
 
 
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
-    the v that bad_primes read): _family_ball at 2 and 3, else _tame_group on
+    the v that bad_primes read): _family_ball at 2 and 3, else _tame_result on
     the valuations of this model, v_p(delta) = 2v (delta = -432 s^2) and
     c4 = 0, for v < 0 too."""
     if p in FAMILY_TABLES:
         center, k, group = _family_ball(p, s, v)
         return LocalMonodromyResult(p, group, f"family-table-{p}", (center, k))
-    return _tame_result(p, _tame_group(2 * v, INFINITY))
+    return _tame_result(p, 2 * v, INFINITY)
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
@@ -252,7 +257,7 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     reduction there.
     """
     if p not in FAMILY_TABLES:
-        return _tame_result(p, phi_tame(curve, p))
+        return _tame_result(p, *_tame_valuations(curve, p))
     if curve.is_family_form():
         return _phi_family(curve.a6, p, valuation(curve.a6, p))
     if any(valuation(a, p) < 0 for a in curve.coefficients):

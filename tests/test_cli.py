@@ -23,7 +23,7 @@ import semistab.galois
 import semistab.monodromy
 from semistab import __version__
 from semistab.cli import main
-from semistab.errors import TheoremViolationError
+from semistab.errors import SizeLimitError, TheoremViolationError
 
 
 def run(capsys, *argv):
@@ -471,6 +471,12 @@ class TestGalois:
         code, _, _ = run(capsys, "galois", "--degree", "3", "--gens", "(1 9)")
         assert code == 2
 
+    def test_no_generators_rejected(self, capsys):
+        code, out, err = run(capsys, "galois", "--degree", "3", "--gens", ";")
+        assert code == 2
+        assert out == ""
+        assert err == "error: at least one generator required\n"
+
     @pytest.mark.parametrize("gens", ["(1 a)", "1,x", "(1 2 3)(4", "(1 2)(1 2)"])
     def test_malformed_cycles_exit_2(self, gens):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -535,6 +541,23 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[-1] == "verification OK"
         assert all(line.startswith("PASS") for line in lines[:-1])
+        assert len(lines) - 1 == 8
+
+    def test_raising_check_fails(self, capsys, monkeypatch):
+        # A row whose check raises a SemistabError prints FAIL; the rest run.
+        def refused(n, m):
+            raise SizeLimitError("refused")
+
+        monkeypatch.setattr(semistab.cli, "gl_cardinality", refused)
+        code, out, _ = run(capsys, "--plain", "verify")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[-1] == "verification FAILED"
+        failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+        assert [line.split("  ")[1] for line in failed] == [
+            "gl cardinality: GL_2(Z/12) has 4608 elements",
+            "gl cardinality mod 12 rounds to 3.2e16, 1.2e38, 1.9e68",
+        ]
         assert len(lines) - 1 == 8
 
 

@@ -367,6 +367,9 @@ class TestGaloisClosure:
             for d in closure.deck_group.elements
         }
         assert len(images) == 4
+        # A transposition of the orbit is no deck element of a regular group.
+        with pytest.raises(InvalidInputError, match="not a deck group element"):
+            closure.deck_action_on_fiber((1, 0, 2, 3))
 
     @pytest.mark.parametrize("name", sorted(NAMED_COVERS))
     def test_named_deck_orders(self, name):
@@ -377,6 +380,10 @@ class TestGaloisClosure:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedCoverError):
             FiniteCover(4, ((1, 0, 2, 3),))
+
+    def test_non_permutation_generator_rejected(self):
+        with pytest.raises(InvalidInputError, match="not a permutation of 0..2"):
+            FiniteCover(3, ((0, 0, 1),))
 
     def test_size_limits(self, monkeypatch):
         monkeypatch.setattr(semistab.galois, "MAX_DEGREE", 2)
@@ -660,6 +667,14 @@ class TestFixedPointCheck:
         trivial = next(s for s in subs if s.order == 1)
         assert all(fixed_point_check(closure, h, trivial) for h in subs)
 
+    def test_subgroups_of_another_group_rejected(self, s3):
+        closure, subs = s3
+        c6 = galois_closure(NAMED_COVERS["C6"]).deck_group
+        other = enumerate_subgroups(c6)[0]
+        for H, I in ((subs[0], other), (other, subs[0])):
+            with pytest.raises(InvalidInputError, match="subgroups of the deck"):
+                fixed_point_check(closure, H, I)
+
     @pytest.mark.parametrize("name", ["S3", "D4", "A4", "C6", "S4"])
     def test_agrees_with_coset_oracle(self, name):
         closure = galois_closure(NAMED_COVERS[name])
@@ -714,6 +729,31 @@ class TestIsomorphism:
         deck_b = galois_closure(NAMED_COVERS[b]).deck_group
         assert isomorphic(deck_a, deck_b) is expected
         assert isomorphic(deck_b, deck_a) is expected
+
+    def test_equal_element_orders_differ_in_abelianness(self):
+        # The Heisenberg group mod 3, (x, y) -> (x + a, y + b x + c) on F_3^2,
+        # and C3^3, both of order 27 on 9 points, have 26 elements of order 3
+        # each: only abelianness tells them apart.
+        def point(x, y):
+            return 3 * (x % 3) + y % 3
+
+        plane = [(x, y) for x in range(3) for y in range(3)]
+        heisenberg = PermutationGroup.generate(
+            [
+                tuple(point(x + 1, y) for x, y in plane),
+                tuple(point(x, y + x) for x, y in plane),
+            ],
+            9,
+        )
+        c3_cubed = PermutationGroup.generate(
+            [parse_cycles(c, 9) for c in ("(1 2 3)", "(4 5 6)", "(7 8 9)")], 9
+        )
+        assert heisenberg.order == c3_cubed.order == 27
+        a, b = _indexed(heisenberg), _indexed(c3_cubed)
+        assert _element_orders(a) == _element_orders(b) == [1] + [3] * 26
+        assert (_is_abelian(a), _is_abelian(b)) == (False, True)
+        assert isomorphic(heisenberg, c3_cubed) is False
+        assert isomorphic(c3_cubed, heisenberg) is False
 
     def test_deck_group_vs_its_top_subgroup(self):
         deck = galois_closure(NAMED_COVERS["S3"]).deck_group
@@ -803,6 +843,13 @@ class TestClassifyPoint:
         trivial = next(s for s in subs if s.order == 1)
         with pytest.raises(InvalidInputError):
             classify_point(closure, trivial, [])
+        # I or a representative from another group's lattice
+        c6 = galois_closure(NAMED_COVERS["C6"]).deck_group
+        other = enumerate_subgroups(c6)[0]
+        reps = self.class_reps(subs)
+        for I, class_reps in ((other, reps), (trivial, reps + [other])):
+            with pytest.raises(InvalidInputError, match="subgroups of the deck"):
+                classify_point(closure, I, class_reps)
 
 
 class TestMaskClassification:

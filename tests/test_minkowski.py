@@ -121,6 +121,7 @@ class TestGlCardinality:
         # str() refuses ints of more than 4300 digits by default.
         assert to_scientific(10**5000) == "1.0e+5000"
         assert to_scientific(-(10**5000 - 1)) == "-1.0e+5000"
+        assert to_scientific(0) == "0"
 
     def test_decimal_digits_around_powers_of_ten(self):
         # math.log10 rounds, so near 10^k the first guess is corrected up or

@@ -39,6 +39,7 @@ from semistab.monodromy import (
     semistability_degree,
 )
 from conftest import TAME_PRIME_POOL
+from curve_oracles import RAMIFIED_TWIST, quadratic_twist, two_isogenous, unramified_at
 
 G = MonodromyGroup
 
@@ -478,6 +479,12 @@ class TestPhiGeneralCurve:
         result = phi_general_curve(family_curve(5), 5)
         assert result.provenance == "tame-rule"
         assert result.group is G.C6
+        # delta = -368 = -2^4 * 23, c4 = 48: C1 at 23, but from multiplicative
+        # reduction, so from the tame rule and not from good reduction.
+        curve = WeierstrassCurve(0, 0, 0, -1, 1)
+        assert reduction_class_at_p(curve, 23) == "multiplicative"
+        result = phi_general_curve(curve, 23)
+        assert (result.group, result.provenance) == (G.C1, "tame-rule")
 
 
 class TestTameRefusalContract:
@@ -708,6 +715,92 @@ class TestAnyModelAtTamePrimes:
                 assert reduction_class_at_p(scaled, p) == klass, (a, p, k)
                 assert phi_tame(scaled, p) is group, (a, p, k)
                 assert phi_general_curve(scaled, p) == general, (a, p, k)
+
+
+def curve_report_answer(curve: WeierstrassCurve, p: int) -> MonodromyGroup | None:
+    """curve_report's group at p: C1 where it has no entry, None where it
+    refuses p."""
+    entry = curve_report(curve).local_at(p)
+    return G.C1 if entry is None else entry.group
+
+
+class TestIsogenyAndTwistOracles:
+    """phi_tame at p >= 5, and curve_report at 2 and 3 wherever both curves
+    answer, against the 2-isogeny and quadratic twist of curve_oracles. The
+    curves are made bad at primes of TAME_PRIME_POOL, and every prime of the
+    pool is checked."""
+
+    def test_two_isogenous_curves_agree(self, rng):
+        orders, compared = set(), 0
+        for _ in range(300):
+            p, q = rng.sample(TAME_PRIME_POOL, 2)
+            a = rng.randint(-9, 9) * p ** rng.randrange(0, 5)
+            b = rng.choice((-1, 1)) * rng.randint(1, 9) * p ** rng.randrange(0, 9)
+            b *= q ** rng.randrange(0, 3)
+            if a * a == 4 * b:
+                continue
+            curve, isogenous = (WeierstrassCurve(*x) for x in two_isogenous(a, b))
+            for ell in TAME_PRIME_POOL:
+                group = phi_tame(curve, ell)
+                assert phi_tame(isogenous, ell) is group, (a, b, ell)
+                orders.add(group.order)
+        # A rational 2-torsion point leaves inertia no element of order 3.
+        assert orders == {1, 2, 4}, orders
+        # curve_report factorizes the discriminant: small coefficients here.
+        # Both curves are refused at 2 (16 | delta) and answer at 3 when good.
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                if b == 0 or a * a == 4 * b:
+                    continue
+                curve, isogenous = (WeierstrassCurve(*x) for x in two_isogenous(a, b))
+                for ell in (2, 3):
+                    group = curve_report_answer(curve, ell)
+                    other = curve_report_answer(isogenous, ell)
+                    if group is not None and other is not None:
+                        assert group is other, (a, b, ell)
+                        compared += 1
+        assert compared > 50, compared
+
+    def test_twists(self, rng):
+        ramified, compared = set(), {2: 0, 3: 0}
+        for _ in range(400):
+            p = rng.choice(TAME_PRIME_POOL)
+            if rng.random() < 0.5:
+                a = tuple(random_long_form(rng, p))
+            else:
+                s = rng.choice((-1, 1)) * rng.randint(1, 30) * p ** rng.randrange(0, 12)
+                s *= 2 ** rng.randrange(0, 3) * 3 ** rng.randrange(0, 5)
+                a = (0, 0, 0, 0, s)
+            # squarefree: p itself half the time, so ramified at p
+            primes = rng.sample([ell for ell in TAME_PRIME_POOL if ell != p], 2)
+            d = rng.choice((-1, 1)) * math.prod(primes[: rng.randrange(0, 3)])
+            d *= p if rng.random() < 0.5 else 1
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            twist = WeierstrassCurve(*quadratic_twist(a, d))
+            for ell in TAME_PRIME_POOL:
+                group, twisted = phi_tame(curve, ell), phi_tame(twist, ell)
+                if unramified_at(d, ell):
+                    assert twisted is group, (a, d, ell)
+                else:
+                    assert twisted.order == RAMIFIED_TWIST[group.order], (a, d, ell)
+                    ramified.add((group.order, twisted.order))
+            # Other models answer at 2 and 3 only where good, which the c4, c6
+            # model of their twist never is there.
+            if not curve.is_family_form():
+                continue
+            for ell in (2, 3):
+                if not unramified_at(d, ell):
+                    continue
+                group = curve_report_answer(curve, ell)
+                other = curve_report_answer(twist, ell)
+                if group is not None and other is not None:
+                    assert group is other, (a, d, ell)
+                    compared[ell] += 1
+        assert ramified == set(RAMIFIED_TWIST.items()), ramified
+        assert min(compared.values()) > 20, compared
 
 
 def valuation_route_family_report(s: Fraction):
