@@ -64,7 +64,7 @@ def identity(n: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """a after b: (a*b)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def inverse(a: Perm) -> Perm:
@@ -216,7 +216,8 @@ class PermutationGroup:
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of a parent group, as a bitmask over the parent's element
-    numbers (sorted_elements() order), validated to be closed."""
+    numbers (sorted_elements() order), validated to be closed. The subgroup
+    lattice builds its own by _closed, unchecked."""
 
     parent: PermutationGroup
     mask: int
@@ -224,6 +225,15 @@ class Subgroup:
     def __post_init__(self) -> None:
         if not self.parent._index.is_subgroup(self.mask):
             raise InvalidInputError("bitmask is not a subgroup of the parent")
+
+    @classmethod
+    def _closed(cls, parent: PermutationGroup, mask: int) -> "Subgroup":
+        """A subgroup whose mask the parent's own closure or conjugation
+        built, so a subgroup by construction: not checked again."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "mask", mask)
+        return sub
 
     @functools.cached_property
     def elements(self) -> frozenset[Perm]:
@@ -253,9 +263,12 @@ class _GroupIndex:
     table[i][j] is the number of elements[i] * elements[j]. Element subsets
     are int bitmasks over the numbers. A regular group (a deck group) is
     numbered by the image of point 0, so a's tuple is its row: a(b(0)) = a[j]
-    for b numbered j. Any other group's |G|^2 table is built by full-tuple
-    lookup. Only the subgroup-lattice functions build the index, once per
-    group object.
+    for b numbered j. Any other group's table is built row by row from the
+    rows of its generators (_left_multiplications). Only the subgroup-lattice
+    functions build the index, once per group object, and it keeps what they
+    learn: each conjugacy class's conjugates, each subgroup's class number,
+    the class representatives keyed by their invariants, and
+    classify_point's map from class number to representatives.
     """
 
     def __init__(self, group: PermutationGroup) -> None:
@@ -266,11 +279,7 @@ class _GroupIndex:
         if [x[0] for x in elements] == list(range(group.degree)):
             self.table = elements
         else:
-            number = {x: i for i, x in enumerate(elements)}
-            self.table = [
-                [number[tuple(map(a.__getitem__, b))] for b in elements]
-                for a in elements
-            ]
+            self.table = self._left_multiplications()
         self.inverse = [row.index(self.identity) for row in self.table]
         # ord(x) steps along row x, through the powers of x to the identity
         self.orders = []
@@ -282,9 +291,48 @@ class _GroupIndex:
         self._conjugates: dict[int, tuple[int, ...]] = {}
         # subgroup bitmask -> the number of its isomorphism class
         self._classes: dict[int, int] = {}
-        # order -> the classes of that order, as (number, representative's
-        # element numbers)
-        self._class_reps: dict[int, list[tuple[int, list[int]]]] = {}
+        # (sorted element orders, abelianness) -> the classes with those
+        # invariants, as (number, representative's element numbers)
+        self._class_reps: dict[
+            tuple[tuple[int, ...], bool], list[tuple[int, list[int]]]
+        ] = {}
+        # classify_point's representatives, as masks -> their indices by
+        # class number
+        self._rep_indices: dict[tuple[int, ...], dict[int, list[int]]] = {}
+
+    def _left_multiplications(self) -> list[Perm]:
+        """The Cayley table of a group that is not regular: row x is L_x,
+        left multiplication by x on the element numbers.
+
+        The rows are found breadth first from the identity's: L_gx is
+        compose(L_g, L_x), and it is the row of the element its entry 0
+        numbers, gx, since the identity is numbered 0. Only a generator's
+        row is looked up element by element. The generators are the group's
+        own, then the lowest element not reached yet, until every row is.
+        """
+        elements, order = self.elements, self.order
+        number = {x: i for i, x in enumerate(elements)}
+        rows: list[Perm | None] = [None] * order
+        rows[self.identity] = tuple(range(order))
+        reached = 1
+        lefts: list[Perm] = []
+        for g in itertools.chain(self.group.generators, elements):
+            if reached == order:
+                break
+            if rows[number[g]] is not None:
+                continue
+            lefts.append(tuple(number[compose(g, b)] for b in elements))
+            # The rows reached before g came in are multiplied again too.
+            frontier = [row for row in rows if row is not None]
+            while frontier:
+                row = frontier.pop()
+                for left in lefts:
+                    product = compose(left, row)
+                    if rows[product[0]] is None:
+                        rows[product[0]] = product
+                        reached += 1
+                        frontier.append(product)
+        return rows
 
     @staticmethod
     def mask(members) -> int:
@@ -368,25 +416,34 @@ class _GroupIndex:
         first subgroup of that class asked about. Two subgroups are
         isomorphic exactly when their numbers are equal.
 
-        Computed on first request, by comparing the subgroup only with the
-        earlier class representatives of the same order: element orders,
-        abelianness, then the generator-mapping search (_isomorphic_indexed).
+        Computed on first request, by the subgroup's own test. Its sorted
+        element orders and abelianness are computed once and key the earlier
+        class representatives that share both; only those are compared, by
+        the generator-mapping search, or by nothing for an abelian subgroup,
+        since finite abelian groups are determined by their element orders.
+        The representatives are pairwise non-isomorphic, so at most one of
+        them matches, and skipping those whose invariants differ keeps the
+        numbering of a linear scan over all representatives of that order.
         """
         number = self._classes.get(mask)
         if number is None:
-            members = self.members(mask)
-            reps = self._class_reps.setdefault(len(members), [])
+            subgroup = (self, self.members(mask))
+            abelian = _is_abelian(subgroup)
+            reps = self._class_reps.setdefault(
+                (tuple(_element_orders(subgroup)), abelian), []
+            )
             number = next(
                 (
                     rep
                     for rep, rep_members in reps
-                    if _isomorphic_indexed((self, members), (self, rep_members))
+                    if abelian
+                    or _generator_mapping_search(subgroup, (self, rep_members))
                 ),
                 None,
             )
             if number is None:
                 number = mask
-                reps.append((mask, members))
+                reps.append((mask, subgroup[1]))
             self._classes[mask] = number
         return number
 
@@ -447,7 +504,7 @@ class _GroupIndex:
                         known.update(self.conjugates(extended))
                         nxt.append(extended)
             frontier = nxt
-        subs = [Subgroup(self.group, sub) for sub in known]
+        subs = [Subgroup._closed(self.group, sub) for sub in known]
         subs.sort(key=Subgroup.sort_key)
         return tuple(subs)
 
@@ -722,8 +779,11 @@ def classify_point(
     two routes must agree, so conjugates with different class numbers raise.
 
     Both routes look a subgroup up by its class number among the deck
-    group's subgroups (_GroupIndex.isomorphism_class) in one map built per
-    call from the representatives. A subgroup of a deck group that is equal
+    group's subgroups (_GroupIndex.isomorphism_class) in one map from class
+    number to representatives. The map is built on the first call with a
+    given list of representatives, keyed by their masks, and kept on the
+    deck group's index: `semistab galois --check-all` passes the same list
+    for every subgroup. A subgroup of a deck group that is equal
     to this one but a distinct object is looked up the same way: equal
     groups number their elements alike (sorted_elements), so its mask
     means the same on this deck group's index.
@@ -733,9 +793,12 @@ def classify_point(
         raise InvalidInputError("inputs must be subgroups of the deck group")
     index = deck._index
     # class number -> the indices of the representatives of that class
-    by_class: dict[int, list[int]] = {}
-    for i, rep in enumerate(class_reps):
-        by_class.setdefault(index.isomorphism_class(rep.mask), []).append(i)
+    masks = tuple(rep.mask for rep in class_reps)
+    by_class = index._rep_indices.get(masks)
+    if by_class is None:
+        by_class = index._rep_indices[masks] = {}
+        for i, mask in enumerate(masks):
+            by_class.setdefault(index.isomorphism_class(mask), []).append(i)
 
     def matches(mask: int) -> list[int]:
         """The indices of the representatives isomorphic to the subgroup

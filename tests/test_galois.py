@@ -60,6 +60,18 @@ S4XC2_COVER = FiniteCover(
     6, ((1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (2, 3, 0, 1, 4, 5))
 )
 
+# A transitive group of order 64 on 8 points, inside a Sylow 2-subgroup of
+# S8: 225 subgroups in 16 isomorphism classes. Two pairs of its classes, at
+# orders 16 and 32, agree on order, element orders and abelianness, so only
+# the generator-mapping search tells the two classes of a pair apart.
+ORDER64_GENS = (
+    "(1 3)(2 4)(5 7 6 8);(1 3 2 4)(5 7)(6 8);(1 3 2 4)(5 7 6 8);"
+    "(1 5)(2 6)(3 7 4 8)"
+)
+ORDER64_COVER = FiniteCover(
+    8, tuple(parse_cycles(g, 8) for g in ORDER64_GENS.split(";"))
+)
+
 # `semistab galois --check-all --json` stdout, recorded before the subgroup
 # lattice moved to an indexed group (Cayley table and bitmask subgroups).
 PINNED_LATTICE_JSON = {
@@ -136,6 +148,23 @@ PINNED_S6_JSON = (
     '"classified_subgroups": 1455, "deck_group_order": 720, "degree": '
     '6, "generators": ["(1 2)", "(1 2 3 4 5 6)"], "orbit_size": 720, '
     '"subgroup_count": 1455}' "\n"
+)
+# The same for the order-64 group, `--degree 8 --gens ORDER64_GENS`,
+# recorded before isomorphism classes looked their representatives up by
+# element orders and abelianness.
+PINNED_ORDER64_JSON = (
+    '{"classes": [{"order": 1, "subgroups": 1}, {"order": 2, "subgroups": '
+    '27}, {"order": 4, "subgroups": 61}, {"order": 4, "subgroups": 18}, '
+    '{"order": 8, "subgroups": 20}, {"order": 8, "subgroups": 42}, {"order": '
+    '8, "subgroups": 15}, {"order": 8, "subgroups": 2}, {"order": 16, '
+    '"subgroups": 1}, {"order": 16, "subgroups": 15}, {"order": 16, '
+    '"subgroups": 9}, {"order": 16, "subgroups": 6}, {"order": 32, '
+    '"subgroups": 3}, {"order": 32, "subgroups": 1}, {"order": 32, '
+    '"subgroups": 3}, {"order": 64, "subgroups": 1}], '
+    '"classified_subgroups": 225, "deck_group_order": 64, "degree": 8, '
+    '"generators": ["(1 3)(2 4)(5 7 6 8)", "(1 3 2 4)(5 7)(6 8)", '
+    '"(1 3 2 4)(5 7 6 8)", "(1 5)(2 6)(3 7 4 8)"], "orbit_size": 64, '
+    '"subgroup_count": 225}' "\n"
 )
 
 
@@ -276,6 +305,42 @@ def uncached_isomorphic(a, b) -> bool:
     if abelian != _is_abelian(indexed_b):
         return False
     return abelian or _generator_mapping_search(indexed_a, indexed_b)
+
+
+def linear_scan_class_numbers(subs: list[Subgroup]) -> list[int]:
+    """Oracle for _GroupIndex.isomorphism_class by a linear scan: each
+    subgroup, in order, compared with every earlier representative of its
+    order by uncached_isomorphic, and numbered by the first match's mask or
+    its own."""
+    reps: dict[int, list[Subgroup]] = {}
+    numbers = []
+    for sub in subs:
+        same_order = reps.setdefault(sub.order, [])
+        rep = next((r for r in same_order if uncached_isomorphic(sub, r)), None)
+        if rep is None:
+            same_order.append(sub)
+            rep = sub
+        numbers.append(rep.mask)
+    return numbers
+
+
+def center_and_squares(sub: Subgroup) -> tuple[int, int]:
+    """|Z(H)| and the number of distinct squares in H, with `compose` only:
+    two isomorphism invariants that neither element orders nor abelianness
+    determine."""
+    members = sub.elements
+    center = sum(
+        all(compose(z, x) == compose(x, z) for x in members) for z in members
+    )
+    return center, len({compose(x, x) for x in members})
+
+
+def full_lookup_table(group: PermutationGroup) -> list[list[int]]:
+    """Oracle for _GroupIndex's table of a group that is not regular: one
+    full-tuple lookup per product, with `compose`."""
+    elements = group.sorted_elements()
+    number = {x: i for i, x in enumerate(elements)}
+    return [[number[compose(a, b)] for b in elements] for a in elements]
 
 
 def all_pairs_cells(closure: GaloisClosure, I: Subgroup) -> list[Subgroup]:
@@ -591,6 +656,17 @@ class TestSubgroupEnumeration:
         assert all(map(index.is_subgroup, subgroup_masks))
         assert not any(map(index.is_subgroup, out_of_range + no_identity))
 
+    @pytest.mark.parametrize(
+        "cover",
+        [*NAMED_COVERS.values(), S5_COVER, ORDER64_COVER],
+        ids=[*NAMED_COVERS, "S5", "order 64"],
+    )
+    def test_enumerated_masks_pass_compose_oracle(self, cover):
+        # The enumeration builds its subgroups without is_subgroup.
+        deck = galois_closure(cover).deck_group
+        for sub in enumerate_subgroups(deck):
+            assert closed_under_compose(deck, sub.mask)
+
     @pytest.mark.parametrize("name", ["S4xC2", "S5"])
     def test_order_is_size_then_sorted_elements(self, name):
         cover = S4XC2_COVER if name == "S4xC2" else S5_COVER
@@ -624,6 +700,20 @@ class TestCayleyTable:
         "S5 on 5 points": lambda: symmetric_group(5),
     }
 
+    NOT_REGULAR = {
+        "S4 on 4 points": lambda: symmetric_group(4),
+        "S5 on 5 points": lambda: symmetric_group(5),
+        "S6 on 6 points": lambda: symmetric_group(6),
+        "S6 from (1 2), (1 2 3 4 5 6)": lambda: PermutationGroup.generate(
+            [parse_cycles("(1 2)", 6), parse_cycles("(1 2 3 4 5 6)", 6)], 6
+        ),
+        # Generators that span only C2: the lowest element not reached
+        # becomes the next generator.
+        "S4 listing one transposition": lambda: PermutationGroup(
+            4, ((1, 0, 2, 3),), symmetric_group(4).elements
+        ),
+    }
+
     @pytest.mark.parametrize("name", sorted(GROUPS))
     def test_table_orders_and_inverses(self, name):
         index = self.GROUPS[name]()._index
@@ -636,6 +726,27 @@ class TestCayleyTable:
             ]
             assert elements[index.inverse[a]] == inverse(x)
         assert index.orders == [perm_order(x) for x in elements]
+
+    @pytest.mark.parametrize("name", sorted(NOT_REGULAR))
+    def test_left_multiplications_match_full_lookup(self, name):
+        group = self.NOT_REGULAR[name]()
+        index = group._index
+        assert index.table is not index.elements
+        assert [list(row) for row in index.table] == full_lookup_table(group)
+
+    def test_random_groups_match_full_lookup(self, rng):
+        # Seeded groups of degree 3..5, transitive or not, that do not act
+        # regularly.
+        checked = 0
+        while checked < 40:
+            n = rng.randrange(3, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+            group = PermutationGroup.generate(gens, n)
+            index = group._index
+            if index.table is index.elements:
+                continue
+            assert [list(row) for row in index.table] == full_lookup_table(group)
+            checked += 1
 
     def test_s4_on_4_points_matches_the_deck(self):
         deck = galois_closure(NAMED_COVERS["S4"]).deck_group
@@ -754,6 +865,33 @@ class TestIsomorphism:
         assert (_is_abelian(a), _is_abelian(b)) == (False, True)
         assert isomorphic(heisenberg, c3_cubed) is False
         assert isomorphic(c3_cubed, heisenberg) is False
+
+    def test_order_64_classes_need_the_mapping_search(self):
+        # Classes with equal order, element orders and abelianness, told
+        # apart only by the generator-mapping search; |Z(H)| and the number
+        # of squares, computed with `compose`, show that they differ.
+        subs = enumerate_subgroups(galois_closure(ORDER64_COVER).deck_group)
+        assert len(subs) == 225
+        invariants: dict[int, set] = {}
+        for sub in subs:
+            members = sub.elements
+            abelian = all(
+                compose(a, b) == compose(b, a) for a in members for b in members
+            )
+            orders = tuple(sorted(map(perm_order, members)))
+            invariants.setdefault(sub.isomorphism_class, set()).add(
+                (sub.order, orders, abelian, center_and_squares(sub))
+            )
+        # Isomorphic subgroups agree on every invariant.
+        assert all(len(found) == 1 for found in invariants.values())
+        assert len(invariants) == 16
+        split: dict[tuple, list] = {}
+        for ((order, orders, abelian, extra),) in invariants.values():
+            split.setdefault((order, orders, abelian), []).append(extra)
+        assert sorted(
+            (key[0], sorted(extras)) for key, extras in split.items()
+            if len(extras) > 1
+        ) == [(16, [(4, 2), (4, 3)]), (32, [(2, 2), (4, 4)])]
 
     def test_deck_group_vs_its_top_subgroup(self):
         deck = galois_closure(NAMED_COVERS["S3"]).deck_group
@@ -885,6 +1023,16 @@ class TestMaskClassification:
         subs = enumerate_subgroups(galois_closure(LATTICE_COVERS[name]).deck_group)
         for a, b in itertools.product(subs, repeat=2):
             assert isomorphic(a, b) == uncached_isomorphic(a, b)
+
+    @pytest.mark.parametrize(
+        "cover",
+        [LATTICE_COVERS["A5"], S4XC2_COVER, S5_COVER, ORDER64_COVER],
+        ids=["A5", "S4xC2", "S5", "order 64"],
+    )
+    def test_class_numbers_match_linear_scan(self, cover):
+        subs = enumerate_subgroups(galois_closure(cover).deck_group)
+        numbers = [sub.isomorphism_class for sub in subs]
+        assert numbers == linear_scan_class_numbers(subs)
 
     def test_equal_but_distinct_decks(self):
         first = galois_closure(NAMED_COVERS["S4"]).deck_group
@@ -1022,3 +1170,15 @@ class TestGaloisCommand:
         data = json.loads(out)
         assert data["deck_group_order"] == 720
         assert data["subgroup_count"] == data["classified_subgroups"] == 1455
+
+    def test_order_64_check_all(self, capsys):
+        argv = [
+            "galois", "--degree", "8", "--gens", ORDER64_GENS,
+            "--check-all", "--json",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == PINNED_ORDER64_JSON
+        data = json.loads(out)
+        assert data["subgroup_count"] == data["classified_subgroups"] == 225
+        assert len(data["classes"]) == 16
