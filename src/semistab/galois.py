@@ -15,15 +15,22 @@ first read. Products and inverses of elements, and the conjugates of a
 subgroup (_GroupIndex.conjugates, the one conjugation path), are read off
 the parent's Cayley table. A deck group acts regularly, so its elements are
 numbered by the image of point 0 and its Cayley table is its element list.
+Each subgroup's isomorphism class is numbered once
+(_GroupIndex.isomorphism_class), and subgroups of one group compare by it.
 
 The subgroup lattice is built one conjugacy class at a time: only one
 representative R per class is extended, by one element per orbit of its
 normalizer N_G(R) on the cosets of R, and the rest of the class comes from
 its conjugates (enumerate_subgroups), each new representative checked by
-orbit-stabilizer. The classification's covering route rests on a lemma:
-the minimal subgroups that contain a conjugate of I are the conjugates of I.
-Each gIg^-1 contains itself, its proper subgroups are too small to contain
-one, and a subgroup that contains a conjugate c is minimal only if it is c.
+orbit-stabilizer.
+
+The classification's covering route (classify_point) rests on a lemma. The
+H-subcover has a rational point when I lies in a conjugate of H, that is,
+when a conjugate of I lies in H (I <= gHg^-1 iff g^-1 I g <= H); the cells
+of I are the minimal such H, and they are exactly the conjugates of I. Each
+gIg^-1 contains itself, its proper subgroups are too small to contain a
+conjugate of I, and an H with a point contains some conjugate c, so H is
+minimal only if H = c.
 
 The module constants MAX_DEGREE and MAX_GROUP_ORDER bound every closure and
 subgroup lattice; past them a SizeLimitError names the limit. They are read
@@ -267,11 +274,17 @@ class _GroupIndex:
     rows of its generators (_left_multiplications). Only the subgroup-lattice
     functions build the index, once per group object, and it keeps what they
     learn: each conjugacy class's conjugates, each subgroup's class number,
-    the class representatives keyed by their invariants, and
-    classify_point's map from class number to representatives.
+    and the class representatives keyed by their invariants. A group over
+    MAX_GROUP_ORDER elements (possible only for one built directly, not by
+    generate) raises SizeLimitError before anything of size |G| is built.
     """
 
     def __init__(self, group: PermutationGroup) -> None:
+        if group.order > MAX_GROUP_ORDER:
+            raise SizeLimitError(
+                f"group order {group.order} exceeds enumeration limit "
+                f"{MAX_GROUP_ORDER}"
+            )
         self.group = group
         self.elements = elements = group.sorted_elements()
         self.order = len(elements)
@@ -296,9 +309,6 @@ class _GroupIndex:
         self._class_reps: dict[
             tuple[tuple[int, ...], bool], list[tuple[int, list[int]]]
         ] = {}
-        # classify_point's representatives, as masks -> their indices by
-        # class number
-        self._rep_indices: dict[tuple[int, ...], dict[int, list[int]]] = {}
 
     def _left_multiplications(self) -> list[Perm]:
         """The Cayley table of a group that is not regular: row x is L_x,
@@ -543,11 +553,6 @@ def enumerate_subgroups(group: PermutationGroup) -> list[Subgroup]:
     elements (possible only for one built directly, not by generate) raises
     SizeLimitError.
     """
-    if group.order > MAX_GROUP_ORDER:
-        raise SizeLimitError(
-            f"group order {group.order} exceeds enumeration limit "
-            f"{MAX_GROUP_ORDER}"
-        )
     return list(group._index.subgroups)
 
 
@@ -607,7 +612,9 @@ class GaloisClosure:
 
     @property
     def base_index(self) -> int:
-        return self.orbit.index(identity(self.base_cover.degree))
+        """The orbit index of the base tuple: 0, since the orbit is sorted
+        and identity(n) is the least permutation of 0..n-1."""
+        return 0
 
     def deck_action_on_fiber(self, deck_element: Perm) -> Perm:
         """The fiber permutation induced by a deck element on the maps p_i.
@@ -767,55 +774,36 @@ def classify_point(
 ) -> int:
     """Index of the isomorphism class of I among class_reps, two ways.
 
-    Route (a) matches I against the representatives directly. Route (b)
-    replays the covering construction: I belongs to the cell of each
-    subgroup H whose subcover has a rational point while no proper
-    subgroup's does. H has a point when I lies in a conjugate of H, that is,
-    when a conjugate of I lies in H (I <= gHg^-1 iff g^-1 I g <= H). The
-    minimal such H are exactly the conjugates of I: each gIg^-1 contains
-    itself, its proper subgroups are too small to contain a conjugate of I,
-    and an H with a point contains some conjugate c, so H is minimal only if
-    H = c. The cells are _GroupIndex.conjugates(I), looked up by mask. The
-    two routes must agree, so conjugates with different class numbers raise.
+    Route (a) matches I against the representatives directly, by class
+    number among the deck group's subgroups (_GroupIndex.isomorphism_class).
+    Route (b) replays the covering construction: I belongs to the cell of
+    each subgroup H whose subcover has a rational point while no proper
+    subgroup's does, and by the covering lemma (module docstring) the cells
+    are the conjugates of I. The two routes must agree, so conjugates with
+    different class numbers raise TheoremViolationError.
 
-    Both routes look a subgroup up by its class number among the deck
-    group's subgroups (_GroupIndex.isomorphism_class) in one map from class
-    number to representatives. The map is built on the first call with a
-    given list of representatives, keyed by their masks, and kept on the
-    deck group's index: `semistab galois --check-all` passes the same list
-    for every subgroup. A subgroup of a deck group that is equal
-    to this one but a distinct object is looked up the same way: equal
-    groups number their elements alike (sorted_elements), so its mask
-    means the same on this deck group's index.
+    A subgroup of a deck group that is equal to this one but a distinct
+    object is looked up the same way: equal groups number their elements
+    alike (sorted_elements), so its mask means the same on this deck group's
+    index.
     """
     deck = closure.deck_group
     if any(S.parent is not deck and S.parent != deck for S in (I, *class_reps)):
         raise InvalidInputError("inputs must be subgroups of the deck group")
     index = deck._index
-    # class number -> the indices of the representatives of that class
-    masks = tuple(rep.mask for rep in class_reps)
-    by_class = index._rep_indices.get(masks)
-    if by_class is None:
-        by_class = index._rep_indices[masks] = {}
-        for i, mask in enumerate(masks):
-            by_class.setdefault(index.isomorphism_class(mask), []).append(i)
-
-    def matches(mask: int) -> list[int]:
-        """The indices of the representatives isomorphic to the subgroup
-        mask, ascending."""
-        return by_class.get(index.isomorphism_class(mask), [])
-
-    direct_matches = matches(I.mask)
-    if len(direct_matches) != 1:
+    number = index.isomorphism_class(I.mask)
+    direct = [
+        i for i, rep in enumerate(class_reps)
+        if index.isomorphism_class(rep.mask) == number
+    ]
+    if len(direct) != 1:
         raise InvalidInputError(
             "class_reps must contain exactly one representative per "
-            f"isomorphism class (got {len(direct_matches)} matches)"
+            f"isomorphism class (got {len(direct)} matches)"
         )
-    direct = direct_matches[0]
-
-    via_cover = {min(matches(c), default=None) for c in index.conjugates(I.mask)}
-    if via_cover != {direct}:
+    if {index.isomorphism_class(c) for c in index.conjugates(I.mask)} != {number}:
         raise TheoremViolationError(
-            f"covering construction gives classes {via_cover}, direct gives {direct}"
+            "covering construction puts the conjugates of I (representative "
+            f"{direct[0]}) in more than one isomorphism class"
         )
-    return direct
+    return direct[0]

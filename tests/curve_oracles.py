@@ -1,5 +1,6 @@
-"""Two maps between curves whose effect on the local monodromy is known
-without any reduction rule: a 2-isogeny and a quadratic twist.
+"""Maps between curves whose effect on the local monodromy is known without
+any reduction rule: a 2-isogeny, a 3-isogeny and a quadratic twist, and a
+point count to check an isogeny formula by.
 
 They act on bare coefficient tuples (a1, a2, a3, a4, a6) of integral models
 and import nothing from semistab, so a check built on them shares no code
@@ -32,11 +33,40 @@ def c_invariants(a: Coefficients) -> tuple[int, int]:
     return b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
 
 
+def discriminant(a: Coefficients) -> int:
+    """The discriminant of the model, (c4^3 - c6^2) / 1728."""
+    c4, c6 = c_invariants(a)
+    return (c4**3 - c6**2) // 1728
+
+
 def two_isogenous(a: int, b: int) -> tuple[Coefficients, Coefficients]:
     """y^2 = x^3 + a x^2 + b x and its 2-isogenous curve y^2 = x^3 - 2a x^2 +
     (a^2 - 4b) x, the quotient by the 2-torsion point (0, 0) (Silverman,
     Example III.4.5). Both are nonsingular when b (a^2 - 4b) != 0."""
     return (0, a, 0, b, 0), (0, -2 * a, 0, a * a - 4 * b, 0)
+
+
+def three_isogenous(a1: int, a3: int) -> tuple[Coefficients, Coefficients]:
+    """y^2 + a1 xy + a3 y = x^3, with the rational 3-torsion point (0, 0), and
+    its quotient by that point from Velu's formulas (C. R. Acad. Sci. Paris
+    1971): y^2 + a1 xy + a3 y = x^3 - 5 a1 a3 x - a1^3 a3 - 7 a3^2. The first
+    has discriminant a3^3 (a1^3 - 27 a3), so both are nonsingular when that
+    is nonzero."""
+    return (a1, 0, a3, 0, 0), (a1, 0, a3, -5 * a1 * a3, -(a1**3) * a3 - 7 * a3 * a3)
+
+
+def count_points(a: Coefficients, p: int) -> int:
+    """#E(F_p) of the model reduced mod an odd prime p, the point at infinity
+    included. y^2 + (a1 x + a3) y = x^3 + a2 x^2 + a4 x + a6 has 1, 2 or 0
+    solutions y as its discriminant in y, (a1 x + a3)^2 + 4 (x^3 + a2 x^2 +
+    a4 x + a6), is 0, a nonzero square or a non-square mod p."""
+    a1, a2, a3, a4, a6 = a
+    squares = {y * y % p for y in range(1, p)}
+    count = 1
+    for x in range(p):
+        disc = ((a1 * x + a3) ** 2 + 4 * (((x + a2) * x + a4) * x + a6)) % p
+        count += 1 if disc == 0 else 2 if disc in squares else 0
+    return count
 
 
 def quadratic_twist(a: Coefficients, d: int) -> Coefficients:

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -581,6 +582,45 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["minkowski"])
         assert exc.value.code == 2
+
+
+def readme_cli_commands() -> list[str]:
+    """The `semistab ...` lines of the README's CLI example block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("semistab ")]
+
+
+class TestReadmeExamples:
+    # README command -> exit code: the 142-bit composite is over the rho
+    # budget (exit 2, invalid input); every other example succeeds.
+    EXIT_CODES = {
+        "semistab minkowski --g 4": 0,
+        "semistab curve --s 4 --json": 0,
+        "semistab curve --a=-1,0,0,0,1 --json": 0,
+        "semistab curve --a 0,0,0,40933768130512491098956,19577537304 --json": 2,
+        "semistab cover --p 3 --min-val 0 --max-val 4": 0,
+        "semistab sweep --from 1 --to 2000 --out sweep.jsonl": 0,
+        "semistab galois --degree 3 --gens '(1 2);(1 2 3)' --check-all": 0,
+        "semistab verify": 0,
+    }
+    # the degrees the README's comments state
+    DEGREES = {
+        "semistab curve --s 4 --json": 24,
+        "semistab curve --a=-1,0,0,0,1 --json": 1,
+    }
+
+    def test_table_lists_every_example(self):
+        assert readme_cli_commands() == list(self.EXIT_CODES)
+
+    @pytest.mark.parametrize("command", list(EXIT_CODES))
+    def test_example_runs(self, capsys, monkeypatch, tmp_path, command):
+        # sweep writes its --out file relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == self.EXIT_CODES[command]
+        if command in self.DEGREES:
+            assert json.loads(out)["degree"] == self.DEGREES[command]
 
 
 class TestBrokenPipe:

@@ -458,10 +458,18 @@ class TestGaloisClosure:
         monkeypatch.setattr(semistab.galois, "MAX_GROUP_ORDER", 10)
         with pytest.raises(SizeLimitError, match="exceeds limit 10$"):
             galois_closure(NAMED_COVERS["S4"])
-        # A group built directly, not by generate, meets the limit here.
+        # A group built directly, not by generate, meets the limit wherever
+        # its Cayley table would be built.
         s4 = PermutationGroup(4, (), frozenset(itertools.permutations(range(4))))
-        with pytest.raises(SizeLimitError, match="24 exceeds enumeration limit 10$"):
-            enumerate_subgroups(s4)
+        for build in (
+            lambda: enumerate_subgroups(s4),
+            lambda: isomorphic(s4, s4),
+            lambda: Subgroup(s4, 1),
+        ):
+            with pytest.raises(
+                SizeLimitError, match="24 exceeds enumeration limit 10$"
+            ):
+                build()
 
     def test_random_covers_closure_properties(self, rng):
         for _ in range(200):

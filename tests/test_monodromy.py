@@ -39,7 +39,15 @@ from semistab.monodromy import (
     semistability_degree,
 )
 from conftest import TAME_PRIME_POOL
-from curve_oracles import RAMIFIED_TWIST, quadratic_twist, two_isogenous, unramified_at
+from curve_oracles import (
+    RAMIFIED_TWIST,
+    count_points,
+    discriminant,
+    quadratic_twist,
+    three_isogenous,
+    two_isogenous,
+    unramified_at,
+)
 
 G = MonodromyGroup
 
@@ -801,6 +809,82 @@ class TestIsogenyAndTwistOracles:
                     compared[ell] += 1
         assert ramified == set(RAMIFIED_TWIST.items()), ramified
         assert min(compared.values()) > 20, compared
+
+    def test_three_isogeny_formula_by_point_counts(self, rng):
+        # Isogenous curves have as many points over F_p at every good prime
+        # p, and the rational 3-torsion point makes that a multiple of 3.
+        primes = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
+        compared = 0
+        for _ in range(40):
+            a1, a3 = rng.randint(-30, 30), rng.randint(-30, 30)
+            if a3 == 0 or a1**3 == 27 * a3:
+                continue
+            curve, isogenous = three_isogenous(a1, a3)
+            for p in primes:
+                if discriminant(curve) % p == 0:
+                    continue
+                count = count_points(curve, p)
+                assert count_points(isogenous, p) == count, (a1, a3, p)
+                assert count % 3 == 0 and (p + 1 - count) ** 2 <= 4 * p
+                compared += 1
+        assert compared > 400, compared
+
+    def test_three_isogenous_curves_agree(self, rng):
+        # A rational 3-torsion point is fixed by inertia, and an element of
+        # order 2, 4 or 6 of Phi_p fixes no point of E[3]: the orders are 1
+        # and 3, and a twist reaches 2 and 6.
+        orders = {"curves": set(), "twists": set()}
+        for _ in range(300):
+            p, q = rng.sample(TAME_PRIME_POOL, 2)
+            a1 = rng.randint(-9, 9) * p ** rng.randrange(0, 3)
+            a3 = rng.choice((-1, 1)) * rng.randint(1, 9) * p ** rng.randrange(0, 6)
+            a3 *= q ** rng.randrange(0, 2)
+            if a1**3 == 27 * a3:
+                continue
+            # squarefree: p itself half the time, so ramified at p
+            others = [ell for ell in TAME_PRIME_POOL if ell != p]
+            d = rng.choice((-1, 1)) * math.prod(rng.sample(others, rng.randrange(0, 3)))
+            d *= p if rng.random() < 0.5 else 1
+            pair = three_isogenous(a1, a3)
+            twists = tuple(quadratic_twist(a, d) for a in pair)
+            # Every prime >= 5 of the four discriminants divides a3 * b * d,
+            # whose factors stay small.
+            b = a1**3 - 27 * a3
+            assert [discriminant(a) for a in pair] == [a3**3 * b, a3 * b**3]
+            assert [discriminant(a) for a in twists] == [
+                6**12 * d**6 * discriminant(a) for a in pair
+            ]
+            primes = factorize(a3) | factorize(b) | factorize(d)
+            curves = [WeierstrassCurve(*a) for a in pair + twists]
+            for ell in filter(lambda ell: ell >= 5, primes):
+                group, isogenous, twist, twisted_isogenous = (
+                    phi_tame(curve, ell) for curve in curves
+                )
+                assert isogenous is group, (a1, a3, ell)
+                assert twisted_isogenous is twist, (a1, a3, d, ell)
+                if unramified_at(d, ell):
+                    assert twist is group, (a1, a3, d, ell)
+                else:
+                    assert twist.order == RAMIFIED_TWIST[group.order], (a1, a3, d, ell)
+                orders["curves"].add(group.order)
+                orders["twists"].add(twist.order)
+        assert orders == {"curves": {1, 3}, "twists": {1, 2, 3, 6}}, orders
+        # curve_report factorizes the discriminant: small coefficients here.
+        compared = {2: 0, 3: 0}
+        for a1 in range(-9, 10):
+            for a3 in range(-9, 10):
+                if a3 == 0 or a1**3 == 27 * a3:
+                    continue
+                curve, isogenous = (
+                    WeierstrassCurve(*a) for a in three_isogenous(a1, a3)
+                )
+                for ell in (2, 3):
+                    group = curve_report_answer(curve, ell)
+                    other = curve_report_answer(isogenous, ell)
+                    if group is not None and other is not None:
+                        assert group is other, (a1, a3, ell)
+                        compared[ell] += 1
+        assert min(compared.values()) > 50, compared
 
 
 def valuation_route_family_report(s: Fraction):
