@@ -11,14 +11,15 @@ every element of center + p^k Z_p automatically shares the center's
 valuation; the stratum is readable off the center. All balls of a stratum
 share one modulus exponent.
 
-`locate` reads the center of s off its table row with monodromy._family_ball,
-the lookup that builds the balls too, and takes the ball keyed by (v, center)
-from an index kept on the CoverReport. Building that index is the exact-cover
-check, stated on the balls: each stratum v in range has one modulus exponent
-k, no center twice, and (p - 1) * p^(k - v - 1) balls, the number of units
-mod p^(k - v). A ball's center is reduced mod p^k and has valuation v < k, so
-distinct centers with one modulus are disjoint balls, and that many of them
-are every class u * p^v mod p^k: the stratum exactly.
+`locate` reads the ball of s off the family's result at p that
+monodromy._family_ball returns (the lookup that builds the balls too, one per
+row entry) and takes the ball keyed by (v, center) from an index kept on the
+CoverReport. Building that index is the exact-cover check, stated on the
+balls: each stratum v in range has one modulus exponent k, no center twice,
+and (p - 1) * p^(k - v - 1) balls, the number of units mod p^(k - v). A
+ball's center is reduced mod p^k and has valuation v < k, so distinct centers
+with one modulus are disjoint balls, and that many of them are every class
+u * p^v mod p^k: the stratum exactly.
 """
 
 from __future__ import annotations
@@ -134,11 +135,12 @@ def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
         raise NotTabulatedError(
             f"valuation range {lo}..{hi} outside tabulated 0..{top}"
         )
-    balls = tuple(
-        PadicBall(p, *_family_ball(p, u * p**v, v))
+    results = (
+        _family_ball(p, u * p**v, v)
         for v in range(lo, hi + 1)
         for u in sorted(FAMILY_TABLES[p][v][1])
     )
+    balls = tuple(PadicBall(p, *r.ball, r.group) for r in results)
     report = CoverReport(p=p, valuation_range=(lo, hi), balls=balls)
     report._index  # builds the index, which checks the cover
     return report
@@ -156,7 +158,7 @@ def locate(s: Rational, report: CoverReport) -> PadicBall:
         raise NotTabulatedError(
             f"v_{p}(s) = {v} outside report range {lo}..{hi}"
         )
-    center, k, _ = _family_ball(p, s, v)
+    center, k = _family_ball(p, s, v).ball
     ball = report._index.get((v, center))
     if ball is None or ball.modulus_exponent != k:
         raise TheoremViolationError(

@@ -7,12 +7,13 @@ the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
-without a row is refused (NotTabulatedError) rather than extrapolated. One
-lookup, _family_ball, reads the p-adic ball of s and its group off a row, for
-the rules here and for the cover module's balls and locate. At p >= 5 one
-tame rule (Serre-Tate), _tame_group, serves the family and phi_tame. In
-family_report every rule takes v_p(s) from the one factorization in
-bad_primes; it computes no valuation of its own.
+without a row is refused (NotTabulatedError) rather than extrapolated. The
+result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
+one lookup, _family_ball, returns the one of s, with its group and its p-adic
+ball, for the rules here and for the cover module's balls and locate. At
+p >= 5 one tame rule (Serre-Tate), _tame_group, serves the family and
+phi_tame. In family_report every rule takes v_p(s) from the one factorization
+in bad_primes; it computes no valuation of its own.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -106,16 +107,37 @@ class LocalMonodromyResult:
     def __post_init__(self) -> None:
         if self.group is None:
             return
-        ok = {
-            "family-table-2": self.p == 2,
-            "family-table-3": self.p == 3,
-            "tame-rule": self.p >= 5,
-            "good-reduction": True,
-        }
-        if not ok.get(self.provenance, False):
+        p, provenance = self.p, self.provenance
+        if not (
+            provenance == "tame-rule" and p >= 5
+            or provenance == "good-reduction"
+            or p in (2, 3) and provenance == f"family-table-{p}"
+        ):
             raise TheoremViolationError(
-                f"provenance {self.provenance} inconsistent with p={self.p}"
+                f"provenance {provenance} inconsistent with p={p}"
             )
+
+
+#: The result of every ball of FAMILY_TABLES, built once from the rows: row v
+#: of FAMILY_TABLES[p] becomes (p^(v + d), {center: result}), the result of
+#: the ball center + p^(v + d) Z_p, center = u * p^v, for each entry u.
+_FAMILY_RESULTS: dict[
+    int, tuple[tuple[int, dict[int, LocalMonodromyResult]], ...]
+] = {
+    p: tuple(
+        (
+            p ** (v + d),
+            {
+                u * p**v: LocalMonodromyResult(
+                    p, group, f"family-table-{p}", (u * p**v, v + d)
+                )
+                for u, group in groups.items()
+            },
+        )
+        for v, (d, groups) in enumerate(rows)
+    )
+    for p, rows in FAMILY_TABLES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -144,21 +166,23 @@ def _nonzero_parameter(s: Rational) -> Fraction:
     return s
 
 
-def _family_ball(p: int, s: Rational, v: int) -> tuple[int, int, MonodromyGroup]:
-    """The ball center + p^k Z_p of s != 0 at p in {2, 3}, given v = v_p(s), and
-    its group, as (center, k, group): row v = (d, groups) of FAMILY_TABLES has
-    k = v + d, and s = p^v * u has center p^v * (u mod p^d), so u is never built.
+def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
+    """The family's result at p in {2, 3} for s != 0, given v = v_p(s): the
+    _FAMILY_RESULTS entry of the ball center + p^k Z_p of s, with that ball
+    as its .ball = (center, k) and its group. Row v = (d, groups) of
+    FAMILY_TABLES has k = v + d, and s = p^v * u has center s mod p^k =
+    p^v * (u mod p^d), so u is never built; a v without a row is refused
+    before the center is computed.
     """
-    rows = FAMILY_TABLES[p]
+    rows = _FAMILY_RESULTS[p]
     if not 0 <= v < len(rows):
         raise NotTabulatedError(
             f"v{p}(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
-    d, groups = rows[v]
-    center = residue(s, p ** (v + d))
-    if (group := groups.get(center // p**v)) is None:
+    modulus, results = rows[v]
+    if (result := results.get(residue(s, modulus))) is None:
         raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
-    return center, v + d, group
+    return result
 
 
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
@@ -169,7 +193,7 @@ def phi_family_at_3(s: Rational) -> MonodromyGroup:
     rational unit are taken on its image in the 3-adic units mod 9.
     """
     s = _nonzero_parameter(s)
-    return _family_ball(3, s, valuation(s, 3))[2]
+    return _family_ball(3, s, valuation(s, 3)).group
 
 
 def phi_family_at_2(s: Rational) -> MonodromyGroup:
@@ -179,7 +203,7 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     C3 when s/4 = -1 mod 4, else SL2(F3).
     """
     s = _nonzero_parameter(s)
-    return _family_ball(2, s, valuation(s, 2))[2]
+    return _family_ball(2, s, valuation(s, 2)).group
 
 
 def _tame_group(klass: str, v_delta: int) -> MonodromyGroup:
@@ -239,12 +263,11 @@ def _tame_result(p: int, v_delta: int, v_c4: int | float) -> LocalMonodromyResul
 
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
-    the v that bad_primes read): _family_ball at 2 and 3, else _tame_result on
-    the valuations of this model, v_p(delta) = 2v (delta = -432 s^2) and
-    c4 = 0, for v < 0 too."""
+    the v that bad_primes read): at 2 and 3 the result _family_ball returns,
+    built once per ball, else _tame_result on the valuations of this model,
+    v_p(delta) = 2v (delta = -432 s^2) and c4 = 0, for v < 0 too."""
     if p in FAMILY_TABLES:
-        center, k, group = _family_ball(p, s, v)
-        return LocalMonodromyResult(p, group, f"family-table-{p}", (center, k))
+        return _family_ball(p, s, v)
     return _tame_result(p, 2 * v, INFINITY)
 
 

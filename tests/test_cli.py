@@ -311,13 +311,16 @@ class TestMissingUnitClass:
 
     @pytest.fixture
     def gap_at_4(self, monkeypatch):
-        # s = 4 has v3 = 0 and 4 mod 9 = 4: drop that class from row 0 at 3.
+        # s = 4 has v3 = 0 and 4 mod 9 = 4: drop that class from row 0 at 3,
+        # and the result of its ball 4 + 3^2 Z_3, built from the row at
+        # import, which the lookup reads.
         rows = semistab.monodromy.FAMILY_TABLES[3]
         d, groups = rows[0]
         gap = {u: group for u, group in groups.items() if u != 4}
         monkeypatch.setitem(
             semistab.monodromy.FAMILY_TABLES, 3, ((d, gap),) + rows[1:]
         )
+        monkeypatch.delitem(semistab.monodromy._FAMILY_RESULTS[3][0][1], 4)
 
     def test_curve(self, capsys, gap_at_4):
         code, out, err = run(capsys, "curve", "--s", "4")
@@ -350,6 +353,33 @@ class TestSweep:
         assert by_s["4"]["degree"] == 24
         assert by_s["8"]["note"] == "not-tabulated"
         assert by_s["10"]["ball_ids"]["3"] == "1+3^2"
+
+    @pytest.mark.parametrize("start, stop", [(-1000, 1000), (700000, 700250)])
+    def test_bytes_are_json_dumps_of_each_record(self, capsys, tmp_path, start, stop):
+        # 700000..700250 is three blocks of SWEEP_BLOCK = 100, the last one
+        # partial; -1000..1000 holds s = 0 and refusals at 2 and 3.
+        out_file = tmp_path / "b.jsonl"
+        code, out, _ = run(
+            capsys, "--plain", "sweep", "--from", str(start), "--to", str(stop),
+            "--out", str(out_file),
+        )
+        assert code == 0
+        records = [semistab.cli.sweep_record(s) for s in range(start, stop + 1)]
+        assert out_file.read_bytes() == "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ).encode()
+        counts: dict[str, int] = {}
+        for record in records:
+            key = str(record["degree"]) if record["degree"] else "not-tabulated"
+            counts[key] = counts.get(key, 0) + 1
+        summary = {
+            "records": stop - start + 1,
+            "degree_counts": dict(sorted(counts.items())),
+            "all_degrees_divide_24": all(
+                r["degree"] is None or 24 % r["degree"] == 0 for r in records
+            ),
+        }
+        assert out == json.dumps(summary, sort_keys=True) + "\n"
 
     def test_thread_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

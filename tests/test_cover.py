@@ -18,6 +18,7 @@ from semistab.errors import (
 )
 from semistab.monodromy import (
     MonodromyGroup,
+    family_report,
     phi_family_at_2,
     phi_family_at_3,
 )
@@ -318,6 +319,88 @@ class TestLocate:
             locate(8, reports[2])
         with pytest.raises(NotTabulatedError):
             locate(Fraction(1, 3), reports[3])
+
+
+# FAMILY_TABLES written out again, (p, v) -> (d, {u: group label}): the ball
+# u * p^v + p^(v + d) Z_p of the stratum v_p(s) = v has that group.
+ROWS = {
+    (2, 0): (2, {1: "C3", 3: "C6"}),
+    (2, 1): (1, {1: "C2"}),
+    (2, 2): (2, {1: "SL2(F3)", 3: "C3"}),
+    (3, 0): (2, {1: "C4", 2: "Dic3", 4: "Dic3", 5: "Dic3", 7: "Dic3", 8: "C4"}),
+    (3, 1): (1, {1: "Dic3", 2: "Dic3"}),
+    (3, 2): (1, {1: "Dic3", 2: "Dic3"}),
+    (3, 3): (2, {1: "C4", 2: "Dic3", 4: "Dic3", 5: "Dic3", 7: "Dic3", 8: "C4"}),
+    (3, 4): (1, {1: "Dic3", 2: "Dic3"}),
+}
+
+
+def rows_lookup(p: int, s) -> tuple[str, int, int]:
+    """(group label, center, k) of a p-integral s != 0 from ROWS, by integer
+    arithmetic alone: v = v_p(s), u = s / p^v mod p^d."""
+    s = Fraction(s)
+    num, v = s.numerator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    d, groups = ROWS[(p, v)]
+    u = num * pow(s.denominator, -1, p**d) % p**d
+    return groups[u], u * p**v, v + d
+
+
+def row_ball_members(rng, p: int, v: int, u: int) -> list:
+    """Seeded members of the ball u * p^v + p^(v + d) Z_p of row v: positive
+    and negative integers, and rationals whose denominator is prime to p."""
+    m = p ** ROWS[(p, v)][0]
+    members = []
+    for _ in range(6):
+        t = rng.randint(0, 10**4)
+        members += [p**v * (u + m * t), p**v * (u - m * (t + 1))]
+        den = rng.randint(2, 10**3)
+        while den % p == 0:
+            den = rng.randint(2, 10**3)
+        w = u * den % m + m * rng.randint(-(10**4), 10**4)
+        members.append(Fraction(p**v * w, den))
+    return members
+
+
+class TestEveryBallAgainstTheRows:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cover_balls(self, p, reports):
+        assert [
+            (b.stratum, b.center, b.modulus_exponent, b.group.label)
+            for b in reports[p].balls
+        ] == [
+            (v, u * p**v, v + d, label)
+            for (q, v), (d, groups) in sorted(ROWS.items())
+            if q == p
+            for u, label in sorted(groups.items())
+        ]
+
+    def check(self, p: int, s, reports) -> None:
+        label, center, k = rows_lookup(p, s)
+        entry = family_report(s).local_at(p)
+        assert (entry.group.label, entry.provenance, entry.ball) == (
+            label, f"family-table-{p}", (center, k)
+        ), s
+        ball = locate(s, reports[p])
+        assert (ball.group.label, ball.center, ball.modulus_exponent) == (
+            label, center, k
+        ), s
+
+    @pytest.mark.parametrize("p, v", sorted(ROWS))
+    def test_seeded_members_of_every_ball(self, p, v, reports, rng):
+        for u, label in ROWS[(p, v)][1].items():
+            for s in row_ball_members(rng, p, v, u):
+                assert rows_lookup(p, s)[1:] == (u * p**v, v + ROWS[(p, v)][0])
+                self.check(p, s, reports)
+
+    def test_v3_four_both_signs(self, reports, rng):
+        # 81 + 3^5 Z_3 and 162 + 3^5 Z_3, which the golden sweep file never
+        # reaches: +-81 u and +-162 u for seeded units u.
+        units = [1, 2] + [rng.randint(4, 10**5) for _ in range(40)]
+        for u in (u for u in units if u % 3):
+            for s in (81 * u, -81 * u, 162 * u, -162 * u):
+                self.check(3, s, reports)
 
 
 class TestBallInvariants:

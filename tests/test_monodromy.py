@@ -22,6 +22,7 @@ from semistab.errors import (
     NotTabulatedError,
     SemistabError,
     SingularCurveError,
+    TheoremViolationError,
     UnsupportedPrimeError,
 )
 from semistab.monodromy import (
@@ -400,6 +401,49 @@ class TestSemistabilityDegree:
     def test_empty_lcm_convention(self):
         # No local result leaves d(E) = 1, the lcm of nothing.
         assert _degree_report(None, []).degree == 1
+
+
+PROVENANCE_PRIMES = (2, 3, 5, 7, 11)
+
+# Whether a result with a group may carry the provenance at p = 2, 3, 5, 7,
+# 11: a family table only at its own tabulated prime, the tame rule only at
+# p >= 5, good reduction anywhere, and nothing else anywhere.
+PROVENANCE_ACCEPTED = {
+    "family-table-2": (True, False, False, False, False),
+    "family-table-3": (False, True, False, False, False),
+    "family-table-5": (False, False, False, False, False),
+    "tame-rule": (False, False, True, True, True),
+    "good-reduction": (True, True, True, True, True),
+    "bogus": (False, False, False, False, False),
+}
+
+
+def provenance_accepted(p: int, group, provenance: str) -> bool:
+    try:
+        result = LocalMonodromyResult(p, group, provenance)
+    except TheoremViolationError as exc:
+        assert str(exc) == f"provenance {provenance} inconsistent with p={p}"
+        return False
+    assert (result.p, result.group, result.provenance) == (p, group, provenance)
+    return True
+
+
+class TestProvenanceCheck:
+    def test_truth_table_with_a_group(self):
+        assert {
+            provenance: tuple(
+                provenance_accepted(p, G.C2, provenance) for p in PROVENANCE_PRIMES
+            )
+            for provenance in PROVENANCE_ACCEPTED
+        } == PROVENANCE_ACCEPTED
+
+    def test_a_refusal_carries_any_text(self):
+        # group None: the provenance is the refusal's text, unchecked.
+        assert all(
+            provenance_accepted(p, None, provenance)
+            for provenance in PROVENANCE_ACCEPTED
+            for p in PROVENANCE_PRIMES
+        )
 
 
 class TestReports:
