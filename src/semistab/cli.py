@@ -1,8 +1,8 @@
 """Command-line interface: minkowski, curve, cover, sweep, galois, verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input (also input over
-a size limit: SizeLimitError), 3 not-tabulated (the input is valid but
-outside the reduction tables' valuation ranges),
+a size limit: SizeLimitError), 3 not-tabulated (valid input outside the
+2-adic table's range, or off the family with bad reduction at 2 or 3),
 4 internal error (a built-in cross-check failed; a bug, never expected),
 141 stdout closed early by its reader (e.g. piped into `head`; no traceback).
 All data output is deterministic for fixed flags; the only non-data line is

@@ -2,9 +2,9 @@
 
 The family's monodromy group at p is locally constant: the parameter line
 splits into disjoint p-adic balls (congruence classes center + p^k Z_p) on
-each of which the group is constant. This module enumerates those balls for
-the valuation strata that have a row in monodromy.FAMILY_TABLES, one ball
-per entry of the row, and checks the covering properties.
+each of which the group is constant. This module enumerates those balls, one
+per entry of a row of monodromy.FAMILY_TABLES (strata 0..2 at 2; 0..5, one
+period of the rule, at 3), and checks the covering properties.
 
 A ball is stored as (center, modulus_exponent k) with v_p(center) < k, so
 every element of center + p^k Z_p automatically shares the center's
@@ -117,7 +117,7 @@ class CoverReport:
 def enumerate_cover(p: int, valuation_range: tuple[int, int]) -> CoverReport:
     """Disjoint-ball decomposition of the strata v_p(s) in the given range.
 
-    Only the strata with a row in FAMILY_TABLES[p] are available: 0..4 at
+    Only the strata with a row in FAMILY_TABLES[p] are available: 0..5 at
     p = 3, 0..2 at p = 2; a p that is not prime and an empty range (min >
     max) are invalid input, refused before any table lookup.
     The report's index is built before it is returned, which checks that

@@ -8,8 +8,8 @@ the opposite sign for c6; no congruence condition used anywhere downstream
 depends on it (they are all stated on s directly).
 
 Minimalization at 2 and 3 for arbitrary curves is deliberately not
-implemented; the family's reduction data at 2 and 3 enters through the
-rows of monodromy.FAMILY_TABLES instead.
+implemented; the family's reduction data at 2 and 3 enters through
+monodromy.FAMILY_TABLES instead, rows at 2 and one closed rule at 3.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ class UnsupportedPrimeError(InvalidInputError):
 class NotTabulatedError(SemistabError):
     """Valuation of the family parameter falls outside the tabulated ranges.
 
-    Never a bug: the reduction tables at 2 and 3 cover only small valuations
-    and untabulated cases are refused rather than guessed.
+    Never a bug: the 2-adic table covers only v2(s) in 0..2, and what the
+    tables at 2 and 3 do not cover is refused rather than guessed.
     """
 
 

@@ -6,8 +6,8 @@ semi-stable; its order always divides 24. The semi-stability degree d(E) is
 the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
-stated once in FAMILY_TABLES, one row per valuation stratum of s; a stratum
-without a row is refused (NotTabulatedError) rather than extrapolated. The
+stated once in FAMILY_TABLES, one row per stratum v_p(s): at 3 one closed
+rule over v mod 6, at 2 a row or a refusal (NotTabulatedError), no guess. The
 result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
 one lookup, _family_ball, returns the one of s, with its group and its p-adic
 ball, for the rules here and for the cover module's balls and locate. At
@@ -62,32 +62,28 @@ _CYCLIC_BY_ORDER = {
     6: MonodromyGroup.C6,
 }
 
-_C4_OR_DIC3_MOD_9 = {
-    1: MonodromyGroup.C4,
-    8: MonodromyGroup.C4,
-    2: MonodromyGroup.DIC3,
-    4: MonodromyGroup.DIC3,
-    5: MonodromyGroup.DIC3,
-    7: MonodromyGroup.DIC3,
-}
-_DIC3_MOD_3 = {1: MonodromyGroup.DIC3, 2: MonodromyGroup.DIC3}
-
 #: The reduction tables of y^2 = x^3 + s at 2 and 3. Row v of FAMILY_TABLES[p]
 #: covers the stratum v_p(s) = v and is (d, {u: group}): the group of s is
 #: read off u = s / p^v mod p^d, so the stratum splits into the p-adic balls
-#: u * p^v + p^(v + d) Z_p, one per entry. A stratum without a row is refused.
+#: u * p^v + p^(v + d) Z_p, one per entry. At 2 a stratum without a row is
+#: refused. At 3 one rule gives rows 0..5: C4 when v = 0 mod 3 and u = +-1
+#: mod 9, else Dic3. Proof: v3(delta) = 3 + 2v is odd, so 4 divides |Phi_3|,
+#: which leaves C4 and Dic3 (Kraus 1990); Phi_3 / +-1 acts faithfully on E[2]
+#: (Serre-Tate 1968), whose field Q3^ur(zeta3, cbrt(s)) has degree 2, not 6,
+#: exactly when cbrt(s) is unramified: v = 0 mod 3 and u = +-1 mod 9. Row 5 is
+#: row 2 moved by the 3-isogeny s -> -27s; _family_ball twists v into 0..5.
 FAMILY_TABLES: dict[int, tuple[tuple[int, dict[int, MonodromyGroup]], ...]] = {
     2: (
         (2, {1: MonodromyGroup.C3, 3: MonodromyGroup.C6}),
         (1, {1: MonodromyGroup.C2}),
         (2, {1: MonodromyGroup.SL2F3, 3: MonodromyGroup.C3}),
     ),
-    3: (
-        (2, _C4_OR_DIC3_MOD_9),
-        (1, _DIC3_MOD_3),
-        (1, _DIC3_MOD_3),
-        (2, _C4_OR_DIC3_MOD_9),
-        (1, _DIC3_MOD_3),
+    3: tuple(
+        (2, {u: MonodromyGroup.C4 if u in (1, 8) else MonodromyGroup.DIC3
+             for u in (1, 2, 4, 5, 7, 8)})
+        if v % 3 == 0
+        else (1, dict.fromkeys((1, 2), MonodromyGroup.DIC3))
+        for v in range(6)
     ),
 }
 
@@ -170,27 +166,31 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
     """The family's result at p in {2, 3} for s != 0, given v = v_p(s): the
     _FAMILY_RESULTS entry of the ball center + p^k Z_p of s, with that ball
     as its .ball = (center, k) and its group. Row v = (d, groups) of
-    FAMILY_TABLES has k = v + d, and s = p^v * u has center s mod p^k =
-    p^v * (u mod p^d), so u is never built; a v without a row is refused
-    before the center is computed.
+    FAMILY_TABLES has k = v + d and center s mod p^k = p^v * (u mod p^d), so
+    u is never built. At 2 a v without a row is refused; at 3 another v reads
+    row w = v mod 6 for the same curve s * 3^(w - v); s's ball, None for v < 0.
     """
     rows = _FAMILY_RESULTS[p]
-    if not 0 <= v < len(rows):
+    if 0 <= v < len(rows):
+        modulus, results = rows[v]
+        if (result := results.get(residue(s, modulus))) is None:
+            raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
+        return result
+    if p == 2:
         raise NotTabulatedError(
-            f"v{p}(s) = {v} outside tabulated range 0..{len(rows) - 1}"
+            f"v2(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
-    modulus, results = rows[v]
-    if (result := results.get(residue(s, modulus))) is None:
-        raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
-    return result
+    w = v % 6
+    group = _family_ball(3, s * Fraction(3) ** (w - v), w).group
+    k = v + FAMILY_TABLES[3][w][0]
+    ball = (residue(s, 3**k), k) if v >= 0 else None
+    return LocalMonodromyResult(3, group, "family-table-3", ball)
 
 
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
-    """Monodromy group at 3 of y^2 = x^3 + s, for v3(s) in {0..4}.
-
-    v3(s) = 0: C4 when s = +-1 mod 9, else Dic3. v3(s) in {1, 2, 4}: Dic3.
-    v3(s) = 3, s = 27u: C4 when u = +-1 mod 9, else Dic3. Congruences of a
-    rational unit are taken on its image in the 3-adic units mod 9.
+    """Monodromy group at 3 of y^2 = x^3 + s, for every s = 3^v u != 0: C4
+    when v = 0 mod 3 and u = +-1 mod 9, else Dic3. Congruences of a rational
+    unit are taken on its image in the 3-adic units mod 9.
     """
     s = _nonzero_parameter(s)
     return _family_ball(3, s, valuation(s, 3)).group
@@ -355,9 +355,9 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
 def semistability_degree(s: Rational) -> DegreeReport:
     """d(E_s) = lcm over bad primes of the local monodromy orders.
 
-    Requires v2(s) in {0,1,2} and v3(s) in {0..4}: otherwise raises
-    NotTabulatedError with the first refused prime's reason. The result
-    always divides 24, and this is checked.
+    Requires v2(s) in {0,1,2}: otherwise raises NotTabulatedError with the
+    refusal's reason. Every v3(s) is answered. The result always divides
+    24, and this is checked.
     """
     report = family_report(s)
     for entry in report.locals:

@@ -76,7 +76,16 @@ class TestEnumerate:
         keys = [(b.stratum, b.center) for b in reports[3].balls]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("p,rng_pair", [(5, (0, 1)), (2, (0, 3)), (3, (0, 5))])
+    def test_stratum_five_at_3(self):
+        # v3 = 5 is v3 = 2 moved by the 3-isogeny s -> -27s: Dic3 on both
+        # unit classes
+        report = enumerate_cover(3, (5, 5))
+        assert [(b.center, b.modulus_exponent, b.group) for b in report.balls] == [
+            (243, 6, G.DIC3),
+            (486, 6, G.DIC3),
+        ]
+
+    @pytest.mark.parametrize("p,rng_pair", [(5, (0, 1)), (2, (0, 3)), (3, (0, 6))])
     def test_untabulated_ranges(self, p, rng_pair):
         with pytest.raises(NotTabulatedError):
             enumerate_cover(p, rng_pair)

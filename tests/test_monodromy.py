@@ -76,10 +76,33 @@ class TestPhiAt3:
         # 8/17 = 8 * 8 = 64 = 1 mod 9  (17 = -1 mod 9)
         assert phi_family_at_3(Fraction(8, 17)) is G.C4
 
-    @pytest.mark.parametrize("s", [3**5, 3**7, Fraction(1, 3), Fraction(5, 81)])
+    # Strata outside 0..4, the rows branch_table_at_3 writes out: s * 3^(6j)
+    # is the same curve, and v3(s) = 5 is v3(s) = 2 moved by the 3-isogeny
+    # s -> -27s.
+    BEYOND_THE_WRITTEN_ROWS = {
+        3**5: G.DIC3,
+        3**7: G.DIC3,
+        Fraction(1, 3): G.DIC3,
+        Fraction(5, 81): G.DIC3,
+        3**6: G.C4,
+        Fraction(1, 27): G.C4,
+    }
+
+    @pytest.mark.parametrize("s", list(BEYOND_THE_WRITTEN_ROWS))
     def test_untabulated_valuations(self, s):
-        with pytest.raises(NotTabulatedError):
-            phi_family_at_3(s)
+        assert phi_family_at_3(s) is self.BEYOND_THE_WRITTEN_ROWS[s]
+
+    def test_no_valuation_refused_and_sextic_twists_agree(self, rng):
+        values = [Fraction(s) for n in range(1, 20001) for s in (n, -n)]
+        for _ in range(2000):
+            sign = rng.choice((1, -1))
+            unit = Fraction(sign * _coprime_to_6(rng), _coprime_to_6(rng))
+            values.append(unit * Fraction(3) ** rng.randint(-12, 12))
+        for s in values:
+            t = Fraction(rng.choice((1, -1)) * rng.randint(1, 200), rng.randint(1, 200))
+            entry = family_report(s).local_at(3)
+            assert entry.group is not None, s
+            assert phi_family_at_3(s * t**6) is entry.group, (s, t)
 
     def test_singular(self):
         with pytest.raises(SingularCurveError):
@@ -119,10 +142,13 @@ class TestPhiAt2:
 
 def branch_table_at_3(s: Fraction) -> MonodromyGroup:
     """The 3-adic reduction table as the branches phi_family_at_3 held
-    before FAMILY_TABLES; an oracle for the table's rows."""
+    before FAMILY_TABLES, for v3(s) in 0..4; an oracle for the table's rows.
+    Any other v3(s) is first carried into 0..5 by s -> s * 3^(-6k), the same
+    curve, and then from 5 to 2 by s -> -s/27, a 3-isogenous curve."""
     v = valuation(s, 3)
-    if v not in range(0, 5):
-        raise NotTabulatedError(f"v3(s) = {v} outside tabulated range 0..4")
+    s, v = s / Fraction(3) ** (v - v % 6), v % 6
+    if v == 5:
+        s, v = -s / 27, 2
     if v == 0:
         return G.C4 if residue(s, 9) in (1, 8) else G.DIC3
     if v == 3:
@@ -256,7 +282,8 @@ class TestThreeIsogeny:
                     continue
                 assert entry.group is other.group, (s, entry.p)
                 compared[entry.p] = compared.get(entry.p, 0) + 1
-        assert compared[2] > 1000 and compared[3] > 1000
+        # 3 is never refused, so every s is compared there
+        assert compared[2] > 1000 and compared[3] == len(values)
 
 
 class TestPhiTame:
@@ -448,11 +475,11 @@ class TestProvenanceCheck:
 
 class TestReports:
     def test_refusals_are_data_in_prime_order(self):
-        report = family_report(1944)  # 2^3 * 3^5
+        report = family_report(1944)  # 2^3 * 3^5: refused at 2 only
         assert report.degree is None
-        assert [(e.p, e.group) for e in report.locals] == [(2, None), (3, None)]
+        assert [(e.p, e.group) for e in report.locals] == [(2, None), (3, G.DIC3)]
         assert report.local_at(2).provenance.startswith("v2(s) = 3")
-        assert report.local_at(3).provenance.startswith("v3(s) = 5")
+        assert report.local_at(3).provenance == "family-table-3"
 
     def test_partial_refusal_keeps_resolved_primes(self):
         report = family_report(8 * 19)  # = -1 mod 9
@@ -1057,13 +1084,17 @@ class TestOneFactorizationRoutes:
         for s in self._family_parameters():
             report = family_report(s)
             for p, cover in covers.items():
+                # at 3 a stratum v >= 6 is the stratum v mod 6 scaled by
+                # 3^(v - v mod 6), the same curve; a negative one has no ball
+                v = valuation(s, p)
+                shift = v - v % 6 if p == 3 and v >= 6 else 0
                 try:
-                    ball = locate(s, cover)
+                    ball = locate(s / p**shift, cover)
                 except NotTabulatedError:
                     expected = None
                 else:
-                    assert ball.contains(s), (s, p)
-                    expected = (ball.center, ball.modulus_exponent)
+                    assert ball.contains(s / p**shift), (s, p)
+                    expected = (ball.center * p**shift, ball.modulus_exponent + shift)
                 assert report.local_at(p).ball == expected, (s, p)
             assert all(e.ball is None for e in report.locals if e.p not in covers)
 

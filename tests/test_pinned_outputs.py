@@ -28,15 +28,14 @@ CURVE_JSON = {
         'tabulated range 0..2"}, {"group": "C4", "order": 4, "p": 3, '
         '"provenance": "family-table-3"}], "s": "8"}',
     ),
-    # 1944 = 2^3 * 3^5: refused at both 2 and 3.
+    # 1944 = 2^3 * 3^5: refused at 2 (exit 3), Dic3 at 3.
     "1944": (
         3,
         '{"bad_primes": [2, 3], "degree": null, "delta": "-1632586752", '
         '"divides_minkowski": null, "monodromy": [{"group": null, '
         '"order": null, "p": 2, "provenance": "v2(s) = 3 outside '
-        'tabulated range 0..2"}, {"group": null, "order": null, "p": 3, '
-        '"provenance": "v3(s) = 5 outside tabulated range 0..4"}], '
-        '"s": "1944"}',
+        'tabulated range 0..2"}, {"group": "Dic3", "order": 12, "p": 3, '
+        '"provenance": "family-table-3"}], "s": "1944"}',
     ),
     "-27/5": (
         0,
