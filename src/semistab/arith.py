@@ -243,6 +243,11 @@ def valuation(x: Rational, p: int) -> int | float:
     """
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
+    return _prime_valuation(x, p)
+
+
+def _prime_valuation(x: Rational, p: int) -> int | float:
+    """valuation(x, p) for a p already known to be prime: no primality test."""
     num, den = x.numerator, x.denominator
     if num == 0:
         return INFINITY

@@ -90,11 +90,13 @@ def _header(args) -> None:
 
 
 def local_data(entry: LocalMonodromyResult) -> dict:
+    """One prime's entry, its keys in sorted order (sweep's encoder sorts
+    none)."""
     group = entry.group
     return {
-        "p": entry.p,
         "group": None if group is None else group.label,
         "order": None if group is None else group.order,
+        "p": entry.p,
         "provenance": entry.provenance,
     }
 
@@ -227,23 +229,26 @@ def cmd_cover(args) -> int:
 
 def sweep_record(s: int) -> dict:
     """family_report(s) as one sweep line; ball_ids labels the ball of s at 2
-    and 3 that the group was read off, None where that prime is refused."""
-    record: dict = {"s": str(s)}
+    and 3 that the group was read off, None where that prime is refused.
+    Every dict is built in sorted key order, the order cmd_sweep writes."""
     if s == 0:
-        record.update(degree=None, locals=[], ball_ids=None, note="singular")
-        return record
+        return {
+            "ball_ids": None, "degree": None, "locals": [], "note": "singular",
+            "s": "0",
+        }
     report = family_report(s)
-    record.update(
-        degree=report.degree,
-        locals=[local_data(entry) for entry in report.locals],
-        ball_ids={
+    record = {
+        "ball_ids": {
             str(entry.p): entry.ball and _ball_label(entry.p, *entry.ball)
             for entry in report.locals
             if entry.p in FAMILY_TABLES
         },
-    )
+        "degree": report.degree,
+        "locals": [local_data(entry) for entry in report.locals],
+    }
     if report.degree is None:
         record["note"] = "not-tabulated"
+    record["s"] = str(s)
     return record
 
 
@@ -253,10 +258,13 @@ def cmd_sweep(args) -> int:
     Records for range(--from, --to + 1, --step) are computed a block of
     SWEEP_BLOCK at a time, in ascending s (a negative step keeps the stop
     --to + 1: --from 10 --to 1 --step -1 writes s = 3..10, --step -3 writes
-    4, 7, 10). Each block is then encoded by the one JSONEncoder of the call,
-    the bytes of json.dumps(record, sort_keys=True), and written by one
-    write, and the summary is counted as they go, so memory does not grow
-    with the range. --out is opened before any record is computed: an
+    4, 7, 10). Each block is then encoded by the one JSONEncoder of the call
+    and written by one write, and the summary is counted as they go, so
+    memory does not grow with the range. sweep_record builds every dict in
+    sorted key order and each record is a fresh tree, so the encoder neither
+    sorts keys nor checks for cycles and still writes the bytes of
+    json.dumps(record, sort_keys=True); TestSweep's byte test guards that.
+    --out is opened before any record is computed: an
     unwritable path exits 2 with no work done, but a record that raises
     later (exit 2 over a size limit, exit 4 on an internal error) leaves the
     blocks before it in the file.
@@ -265,7 +273,7 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("--step must not be 0")
     values = range(args.start, args.stop + 1, args.step)
     pending = iter(values if args.step > 0 else reversed(values))
-    encode = json.JSONEncoder(sort_keys=True).encode
+    encode = json.JSONEncoder(check_circular=False).encode
     records = 0
     degree_counts: dict[str, int] = {}
     all_divide = True

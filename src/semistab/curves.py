@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, Rational, valuation
+from .arith import INFINITY, Rational, _prime_valuation, valuation
 from .errors import (
     InvalidInputError,
     SingularCurveError,
@@ -124,14 +124,15 @@ def family_curve(s: Rational) -> WeierstrassCurve:
 def _tame_valuations(curve: WeierstrassCurve, p: int) -> tuple[int, int | float]:
     """(v_p(delta), v_p(c4)) of this model (INFINITY when c4 = 0) at p >= 5;
     UnsupportedPrimeError at 2 and 3, InvalidInputError (from valuation) at a
-    p that is not prime."""
+    p that is not prime. p is tested for primality once, by the valuation of
+    delta."""
     if p in (2, 3):
         raise UnsupportedPrimeError(
             "only p >= 5 supported; reduction at 2 and 3 is handled through "
             "the family's tabulated valuation ranges"
         )
     inv = curve.invariants
-    return valuation(inv.delta, p), valuation(inv.c4, p)
+    return valuation(inv.delta, p), _prime_valuation(inv.c4, p)
 
 
 def minimalize_at_p(

@@ -241,15 +241,22 @@ def bad_primes(s: Fraction) -> dict[int, int]:
     Candidates divide 432 * num(s) * den(s), and 2 and 3 always remain bad
     (432 = 2^4 * 3^3); p >= 5 is bad unless _reduction_class of this model,
     v_p(delta) = 2 v_p(s) and c4 = 0, is good. The valuations are read off
-    one factorization of num(s) and one of den(s).
+    one factorization of num(s) and, when den(s) > 1, one of den(s); one
+    loop then enters 2 and 3 and each bad p > 3 in prime order.
     """
-    # v_p(s) for every p dividing s; numerator and denominator are coprime.
+    # v_p(s) for every p dividing s, in prime order (factorize's keys are).
     valuations = factorize(s.numerator)
-    valuations.update((p, -e) for p, e in factorize(s.denominator).items())
-    bad = {2, 3}.union(
-        p for p, v in valuations.items() if _reduction_class(2 * v, INFINITY) != "good"
-    )
-    return {p: valuations.get(p, 0) for p in sorted(bad)}
+    if s.denominator != 1:
+        # Coprime to the numerator: its primes are new keys, merged in order.
+        valuations = dict(sorted([
+            *valuations.items(),
+            *((p, -e) for p, e in factorize(s.denominator).items()),
+        ]))
+    bad = {2: valuations.get(2, 0), 3: valuations.get(3, 0)}
+    for p, v in valuations.items():
+        if p > 3 and _reduction_class(2 * v, INFINITY) != "good":
+            bad[p] = v
+    return bad
 
 
 def _tame_result(p: int, v_delta: int, v_c4: int | float) -> LocalMonodromyResult:
@@ -308,10 +315,14 @@ def _or_refusal(p: int, derive, *args) -> LocalMonodromyResult:
 def _degree_report(
     s: Fraction | None, locals_: list[LocalMonodromyResult]
 ) -> DegreeReport:
-    """Attach d(E), the lcm of the local orders, unless a prime is refused."""
-    if any(entry.group is None for entry in locals_):
-        return DegreeReport(s=s, locals=tuple(locals_), degree=None)
-    degree = math.lcm(*(entry.group.order for entry in locals_))
+    """Attach d(E), the lcm of the local orders (1 for no entry), in one pass:
+    degree None at the first refused prime, else the lcm, which must divide
+    the g = 1 bound 24 (TheoremViolationError if not)."""
+    degree = 1
+    for entry in locals_:
+        if entry.group is None:
+            return DegreeReport(s=s, locals=tuple(locals_), degree=None)
+        degree = math.lcm(degree, entry.group.order)
     if 24 % degree != 0:
         raise TheoremViolationError(
             f"degree {degree} does not divide the g=1 bound 24 (s = {s})"

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -428,6 +429,40 @@ class TestSemistabilityDegree:
     def test_empty_lcm_convention(self):
         # No local result leaves d(E) = 1, the lcm of nothing.
         assert _degree_report(None, []).degree == 1
+
+
+def stub_entry(order: int | None) -> SimpleNamespace:
+    """A local entry as _degree_report reads it: a group with an order, or
+    no group (a refused prime). Real orders all divide 24, so only a stub
+    reaches the divisibility check."""
+    return SimpleNamespace(group=None if order is None else SimpleNamespace(order=order))
+
+
+class TestDegreeReportContract:
+    def test_order_not_dividing_24_raises(self):
+        for orders, degree in (((5,), 5), ((3, 5), 15), ((4, 5, 1), 20), ((8, 3, 16), 48)):
+            with pytest.raises(TheoremViolationError) as excinfo:
+                _degree_report(None, [stub_entry(order) for order in orders])
+            assert str(excinfo.value) == (
+                f"degree {degree} does not divide the g=1 bound 24 (s = None)"
+            )
+
+    def test_orders_dividing_24_pass(self):
+        # The check is on the lcm, not on the set of group orders: 8 | 24.
+        for orders, degree in (((8,), 8), ((8, 3), 24), ((2, 3), 6), ((1,), 1)):
+            report = _degree_report(Fraction(7), [stub_entry(order) for order in orders])
+            assert (report.s, report.degree) == (Fraction(7), degree)
+
+    def test_refusal_anywhere_gives_no_degree(self):
+        # A refused prime before, between or after the entries whose lcm
+        # would fail the check: degree None, no raise, every entry kept.
+        for orders in ((5,), (4, 5), (8, 16)):
+            for at in range(len(orders) + 1):
+                entries = [stub_entry(order) for order in orders]
+                entries.insert(at, stub_entry(None))
+                report = _degree_report(None, entries)
+                assert report.degree is None, (orders, at)
+                assert report.locals == tuple(entries)
 
 
 PROVENANCE_PRIMES = (2, 3, 5, 7, 11)
@@ -995,6 +1030,19 @@ def profile_route_tame_group(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     return _CYCLIC[12 // math.gcd(int(v_delta), 12)]
 
 
+def trial_division(n: int) -> dict[int, int]:
+    """{p: e} for |n| >= 1, by trial division alone (no arith)."""
+    n, factors, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 class TestOneFactorizationRoutes:
     def _family_parameters(self):
         rng = random.Random(20250)
@@ -1108,6 +1156,24 @@ class TestOneFactorizationRoutes:
             primes = bad_primes(s)
             assert list(primes) == sorted(primes)
             assert primes == {p: valuation(s, p) for p in primes}, s
+
+    def test_bad_primes_match_trial_division_oracle(self):
+        # {2, 3} and every p >= 5 with v_p(s) != 0 mod 6, in prime order,
+        # each with the signed v_p(s); num and den factorized here by trial
+        # division, s = u 5^a / (w 7^b) before any cancellation.
+        rng = random.Random(32)
+        cases = [(n, 1) for n in range(-20_000, 20_001) if n]
+        for _ in range(2_000):
+            num = rng.choice((-1, 1)) * rng.randint(1, 10**6) * 5 ** rng.randrange(0, 13)
+            cases.append((num, rng.randint(1, 10**4) * 7 ** rng.randrange(0, 13)))
+        for num, den in cases:
+            signed: dict[int, int] = {}
+            for n, sign in ((num, 1), (den, -1)):
+                for p, e in trial_division(n).items():
+                    signed[p] = signed.get(p, 0) + sign * e
+            keys = sorted({2, 3} | {p for p, v in signed.items() if p >= 5 and v % 6})
+            expected = [(p, signed.get(p, 0)) for p in keys]
+            assert list(bad_primes(Fraction(num, den)).items()) == expected, (num, den)
 
     def test_curve_report_matches_profile_route(self):
         rng = random.Random(1300)
