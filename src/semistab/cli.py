@@ -89,6 +89,20 @@ def _header(args) -> None:
 # serialization
 
 
+def _check_str_digits(n: int, what: str) -> None:
+    """Raise SizeLimitError, naming the integer by `what`, for an n >= 1 that
+    str() would refuse: one over the interpreter's limit of integer string
+    conversion (4300 digits by default). Callers check before they print."""
+    # 0: no limit; Python < 3.10.7 has no limit and no getter.
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _decimal_digits(n)
+    if max_digits and digits > max_digits:
+        raise SizeLimitError(
+            f"{what} holds a {digits}-digit integer, over the "
+            f"{max_digits}-digit limit of integer string conversion"
+        )
+
+
 def local_data(entry: LocalMonodromyResult) -> dict:
     """One prime's entry, its keys in sorted order (sweep's encoder sorts
     none)."""
@@ -114,6 +128,9 @@ def general_report_data(curve: WeierstrassCurve) -> tuple[dict, int]:
     members only (the library refuses a degree that does not divide 24).
     """
     delta = curve.invariants.delta
+    _check_str_digits(
+        max(abs(delta.numerator), delta.denominator), "curve: delta"
+    )
     report = curve_report(curve)
     degree = report.degree
     data = {
@@ -156,18 +173,12 @@ def cover_report_data(report: CoverReport) -> dict:
 def cmd_minkowski(args) -> int:
     if args.g < 1:
         raise InvalidInputError("--g must be >= 1")
-    # str() refuses an int longer than this (0: no limit; Python < 3.10.7
-    # has no limit and no getter).
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     reports = []
     for g in range(1, args.g + 1):
         report = MinkowskiReport.build(g, args.gl_mod)
-        digits = _decimal_digits(max(report.bound, report.gl12_card))
-        if max_digits and digits > max_digits:
-            raise SizeLimitError(
-                f"minkowski: row g = {g} holds a {digits}-digit integer, over "
-                f"the {max_digits}-digit limit of integer string conversion"
-            )
+        _check_str_digits(
+            max(report.bound, report.gl12_card), f"minkowski: row g = {g}"
+        )
         reports.append(report)
     if args.format == "json":
         payload = [

@@ -24,19 +24,25 @@ class UnsupportedPrimeError(InvalidInputError):
 
 
 class NotTabulatedError(SemistabError):
-    """Valuation of the family parameter falls outside the tabulated ranges.
+    """A valid input that no table or rule answers, refused rather than
+    guessed; never a bug.
 
-    Never a bug: the 2-adic table covers only v2(s) in 0..2, and what the
-    tables at 2 and 3 do not cover is refused rather than guessed.
+    It marks a family parameter with v2(s) outside 0..2, the rows of the
+    2-adic table (every v3(s) is answered at 3); a curve outside the family
+    with bad reduction at 2 or 3; a `cover` or `locate` prime with no tables
+    (any p other than 2 and 3); and a `cover` valuation range past the
+    table's rows, or a `locate` valuation outside its report's range.
     """
 
 
 class SizeLimitError(SemistabError):
     """Input over a fixed work limit: a cover degree or group order above the
     enumeration limits, a number whose factorization needs more than
-    factorize's Pollard rho budget, or a number from about 3.3e24 up that
+    factorize's Pollard rho budget, a number from about 3.3e24 up that
     passes every Miller-Rabin base is_prime has, so that no proven test
-    settles it."""
+    settles it, or an integer the CLI would print that is longer than
+    Python's limit of integer-to-string conversion (4300 digits by default):
+    a `minkowski` row, or a `curve`'s delta."""
 
 
 class DisconnectedCoverError(InvalidInputError):

@@ -11,9 +11,13 @@ generate exactly the right multiplications by the whole monodromy group.
 
 A subgroup is stored once, as an int bitmask over its parent's elements
 numbered in sorted order; its permutations are derived from the mask when
-first read. Products and inverses of elements, and the conjugates of a
-subgroup (_GroupIndex.conjugates, the one conjugation path), are read off
-the parent's Cayley table. A deck group acts regularly, so its elements are
+first read. Products of elements, and the conjugates of a subgroup
+(_GroupIndex.conjugates, the one conjugation path), are read off the
+parent's Cayley table. Each other group fact is read off a walk made anyway:
+the walk through the powers of x yields ord(x) and x^-1, the power before
+the identity; the span _minimal_generators grows is the subgroup test; and
+a cover's generators alone reach its fiber, each inverse being a power of
+its generator. A deck group acts regularly, so its elements are
 numbered by the image of point 0 and its Cayley table is its element list.
 Each subgroup's isomorphism class is numbered once
 (_GroupIndex.isomorphism_class), and subgroups of one group compare by it.
@@ -271,7 +275,9 @@ class _GroupIndex:
     are int bitmasks over the numbers. A regular group (a deck group) is
     numbered by the image of point 0, so a's tuple is its row: a(b(0)) = a[j]
     for b numbered j. Any other group's table is built row by row from the
-    rows of its generators (_left_multiplications). Only the subgroup-lattice
+    rows of its generators (_left_multiplications). One walk along each row
+    through the powers of x to the identity yields orders[x] and inverse[x],
+    the last power before the identity. Only the subgroup-lattice
     functions build the index, once per group object, and it keeps what they
     learn: each conjugacy class's conjugates, each subgroup's class number,
     and the class representatives keyed by their invariants. A group over
@@ -293,13 +299,12 @@ class _GroupIndex:
             self.table = elements
         else:
             self.table = self._left_multiplications()
-        self.inverse = [row.index(self.identity) for row in self.table]
-        # ord(x) steps along row x, through the powers of x to the identity
-        self.orders = []
+        self.inverse, self.orders = [], []
         for x, row in enumerate(self.table):
-            power, order = x, 1
+            before, power, order = self.identity, x, 1
             while power != self.identity:
-                power, order = row[power], order + 1
+                before, power, order = power, row[power], order + 1
+            self.inverse.append(before)
             self.orders.append(order)
         self._conjugates: dict[int, tuple[int, ...]] = {}
         # subgroup bitmask -> the number of its isomorphism class
@@ -361,25 +366,11 @@ class _GroupIndex:
         return found
 
     def is_subgroup(self, mask: int) -> bool:
-        """Whether the bitmask is a subset of G that contains the identity and
-        is closed under products.
-
-        The span of the members grows one generator at a time, the lowest
-        member not yet spanned, and the answer is False as soon as it leaves
-        the mask. The span is always a subgroup and ends up holding every
-        member, so it stays inside the mask exactly when the mask is a
-        subgroup; a mask without the identity leaves at the first step.
-        """
+        """Whether the bitmask is a subgroup of G: whether it is the span of
+        its members, the last span of _minimal_generators' walk."""
         if mask <= 0 or mask >= 1 << self.order:
             return False
-        gens: list[int] = []
-        span = 1 << self.identity
-        while rest := mask & ~span:
-            gens.append((rest & -rest).bit_length() - 1)
-            span = self.close(gens)
-            if span & ~mask:
-                return False
-        return True
+        return _minimal_generators(self, self.members(mask))[1] == mask
 
     def close(self, gens: list[int]) -> int:
         """The bitmask of the subgroup generated by the numbered elements gens."""
@@ -582,12 +573,13 @@ class FiniteCover:
             )
 
     def is_transitive(self) -> bool:
-        moves = self.generators + tuple(inverse(g) for g in self.generators)
+        # Each inverse is a power of its generator, so the generators alone
+        # reach the orbit of 0.
         reached = {0}
         frontier = [0]
         while frontier:
             i = frontier.pop()
-            for g in moves:
+            for g in self.generators:
                 j = g[i]
                 if j not in reached:
                     reached.add(j)
@@ -718,7 +710,12 @@ def _is_abelian(group: tuple[_GroupIndex, list[int]]) -> bool:
     )
 
 
-def _minimal_generators(index: _GroupIndex, members: list[int]) -> list[int]:
+def _minimal_generators(
+    index: _GroupIndex, members: list[int]
+) -> tuple[list[int], int]:
+    """Generators of the subgroup the numbered elements members span, and
+    its bitmask: the span grows by the member of highest order not yet in
+    it, and the last span holds every member, so it is the members' span."""
     full = index.mask(members)
     gens: list[int] = []
     span = 1 << index.identity
@@ -729,14 +726,14 @@ def _minimal_generators(index: _GroupIndex, members: list[int]) -> list[int]:
         span = index.close(gens)
         if span == full:
             break
-    return gens
+    return gens, span
 
 
 def _generator_mapping_search(
     a: tuple[_GroupIndex, list[int]], b: tuple[_GroupIndex, list[int]]
 ) -> bool:
     (index_a, members_a), (index_b, members_b) = a, b
-    gens = _minimal_generators(index_a, members_a)
+    gens = _minimal_generators(index_a, members_a)[0]
     b_by_order: dict[int, list[int]] = {}
     for y in members_b:
         b_by_order.setdefault(index_b.orders[y], []).append(y)

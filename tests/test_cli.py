@@ -173,6 +173,35 @@ class TestCurve:
         assert (data["delta"], data["monodromy"], data["degree"]) == ("-433", [], 1)
 
 
+class TestCurveDigitLimit:
+    # Delta = -432 s^2 of s = 2^9000 has 5,422 digits, that of s = 1/2^9000
+    # a 5,418-digit denominator, and the short-form Delta of a4 = 2^5000 has
+    # 4,518 digits: more than str() prints under the default limit of 4,300,
+    # though each input has fewer.
+    @pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "text"])
+    @pytest.mark.parametrize(
+        "arg, digits",
+        [
+            (f"--s={2**9000}", 5422),
+            (f"--s=1/{2**9000}", 5418),
+            (f"--a=0,0,0,{2**5000},0", 4518),
+        ],
+        ids=["s", "1/s", "a4"],
+    )
+    def test_int_str_digit_limit(self, capsys, fmt, arg, digits):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "--plain", "curve", arg, *fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: curve: delta holds a {digits}-digit integer, over the "
+            "4300-digit limit of integer string conversion\n"
+        )
+
+
 class TestInvariantsOncePerCurve:
     @staticmethod
     def curves_seen(monkeypatch, *argv):

@@ -446,6 +446,43 @@ class TestGaloisClosure:
         with pytest.raises(DisconnectedCoverError):
             FiniteCover(4, ((1, 0, 2, 3),))
 
+    def test_transitivity_matches_orbit_walk_with_inverses(self):
+        # Seeded generator sets of degree 2..7. About half keep the blocks
+        # {0..k-1} and {k..n-1} of a random split, under a random relabelling
+        # of the points, so they are not transitive.
+        rng = random.Random(20240607)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randrange(2, 8)
+            split = rng.randrange(1, n) if rng.random() < 0.5 else n
+            relabel = rng.sample(range(n), n)
+            gens = []
+            for _ in range(rng.randrange(1, 4)):
+                block_perm = rng.sample(range(split), split) + rng.sample(
+                    range(split, n), n - split
+                )
+                image = [0] * n
+                for i, pi in enumerate(block_perm):
+                    image[relabel[i]] = relabel[pi]
+                gens.append(tuple(image))
+            # The orbit of 0, walked with the generators and their inverses.
+            moves = gens + [tuple(sorted(range(n), key=g.__getitem__)) for g in gens]
+            reached, frontier = {0}, [0]
+            while frontier:
+                i = frontier.pop()
+                for g in moves:
+                    if g[i] not in reached:
+                        reached.add(g[i])
+                        frontier.append(g[i])
+            transitive = len(reached) == n
+            verdicts.append(transitive)
+            if transitive:
+                assert FiniteCover(n, tuple(gens)).generators == tuple(gens)
+            else:
+                with pytest.raises(DisconnectedCoverError):
+                    FiniteCover(n, tuple(gens))
+        assert 100 < sum(verdicts) < 300
+
     def test_non_permutation_generator_rejected(self):
         with pytest.raises(InvalidInputError, match="not a permutation of 0..2"):
             FiniteCover(3, ((0, 0, 1),))
@@ -644,7 +681,9 @@ class TestSubgroupEnumeration:
             assert masks == reference_subgroups(deck)
 
     @pytest.mark.parametrize(
-        "cover", [S4XC2_COVER, S5_COVER], ids=["S4xC2", "S5"]
+        "cover",
+        [NAMED_COVERS["S3"], NAMED_COVERS["D4"], S4XC2_COVER, S5_COVER],
+        ids=["S3", "D4", "S4xC2", "S5"],
     )
     def test_is_subgroup_matches_compose_oracle(self, cover):
         deck = galois_closure(cover).deck_group
@@ -652,14 +691,18 @@ class TestSubgroupEnumeration:
         full = (1 << deck.order) - 1
         subgroup_masks = [s.mask for s in enumerate_subgroups(deck)]
         rng = random.Random(deck.order)
-        flipped = [mask ^ 1 << rng.randrange(deck.order) for mask in subgroup_masks]
-        drawn = [rng.getrandbits(deck.order) for _ in range(200)]
-        drawn += [mask | 1 << index.identity for mask in drawn]
+        if deck.order <= 8:
+            # Every mask in range, and one past each end of it.
+            drawn = list(range(-1, 2**deck.order + 1))
+        else:
+            drawn = [rng.getrandbits(deck.order) for _ in range(200)]
+            drawn += [mask | 1 << index.identity for mask in drawn]
+            drawn += [mask ^ 1 << rng.randrange(deck.order) for mask in subgroup_masks]
         out_of_range = [0, -1, -full, 1 << deck.order, full | 1 << deck.order]
         no_identity = [full & ~(1 << index.identity)] + [
             mask & ~(1 << index.identity) for mask in subgroup_masks[1:]
         ]
-        for mask in subgroup_masks + flipped + drawn + out_of_range + no_identity:
+        for mask in subgroup_masks + drawn + out_of_range + no_identity:
             assert index.is_subgroup(mask) == closed_under_compose(deck, mask)
         assert all(map(index.is_subgroup, subgroup_masks))
         assert not any(map(index.is_subgroup, out_of_range + no_identity))
