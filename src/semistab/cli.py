@@ -10,7 +10,9 @@ a version header, suppressible with --plain.
 
 The per-prime monodromy and the degree come from monodromy.family_report and
 monodromy.curve_report; this module only serializes them, `sweep`'s ball
-labels at 2 and 3 too (the balls on those results). `sweep` computes its
+labels at 2 and 3 too (the balls on those results). `curve` prints a dict
+through json.dumps; `sweep` formats each record's line straight from its
+report, in the bytes json.dumps would give it. `sweep` computes its
 records serially: --threads is accepted and has no effect.
 
 main builds the top-level parser and only the subcommand parser that argv
@@ -72,12 +74,18 @@ EXIT_NOT_TABULATED = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
-# Records a sweep computes before it serializes them, with one encoder, and
-# writes with one write call. In a process that runs many sweeps (the
-# benchmark's sweep-small), alternating record by record measured about 4%
-# slower and up to 1.5 MiB higher in peak RSS than computing a block and then
-# writing it.
+# Records a sweep computes before it writes their lines with one write call.
+# In a process that runs many sweeps (the benchmark's sweep-small),
+# alternating record by record measured about 4% slower and up to 1.5 MiB
+# higher in peak RSS than computing a block and then writing it.
 SWEEP_BLOCK = 100
+
+# The escaper of json.dumps's default (ASCII) output, for sweep_record's
+# strings; the line of s = 0, the singular curve, which has no report.
+_escape = json.encoder.encode_basestring_ascii
+_SINGULAR_LINE = (
+    '{"ball_ids": null, "degree": null, "locals": [], "note": "singular", "s": "0"}\n'
+)
 
 
 def _header(args) -> None:
@@ -104,8 +112,8 @@ def _check_str_digits(n: int, what: str) -> None:
 
 
 def local_data(entry: LocalMonodromyResult) -> dict:
-    """One prime's entry, its keys in sorted order (sweep's encoder sorts
-    none)."""
+    """One prime's entry as `curve --json` prints it; sweep_record writes
+    the same shape."""
     group = entry.group
     return {
         "group": None if group is None else group.label,
@@ -238,29 +246,46 @@ def cmd_cover(args) -> int:
     return EXIT_OK
 
 
-def sweep_record(s: int) -> dict:
-    """family_report(s) as one sweep line; ball_ids labels the ball of s at 2
-    and 3 that the group was read off, None where that prime is refused.
-    Every dict is built in sorted key order, the order cmd_sweep writes."""
+def sweep_record(s: int) -> tuple[str, int | None]:
+    """family_report(s) as one sweep line, with its newline, and d(E_s)
+    (None where a prime is refused, and for s = 0, the singular curve).
+
+    The line is formatted from the report, with no record dict: its keys in
+    sorted order, every string through the escaper that json.dumps uses,
+    ints by %d and None as null, so it is the bytes of
+    json.dumps(record, sort_keys=True) for the record of the README. Its
+    entries under "locals" have the shape local_data gives `curve`, and
+    ball_ids labels the ball of s at 2 and 3 that the group was read off,
+    null where that prime is refused. TestSweep's byte test checks both."""
     if s == 0:
-        return {
-            "ball_ids": None, "degree": None, "locals": [], "note": "singular",
-            "s": "0",
-        }
+        return _SINGULAR_LINE, None
     report = family_report(s)
-    record = {
-        "ball_ids": {
-            str(entry.p): entry.ball and _ball_label(entry.p, *entry.ball)
-            for entry in report.locals
-            if entry.p in FAMILY_TABLES
-        },
-        "degree": report.degree,
-        "locals": [local_data(entry) for entry in report.locals],
-    }
-    if report.degree is None:
-        record["note"] = "not-tabulated"
-    record["s"] = str(s)
-    return record
+    degree = report.degree
+    balls = []
+    entries = []
+    for entry in report.locals:
+        p, group = entry.p, entry.group
+        if p in FAMILY_TABLES:
+            label = entry.ball and _escape(_ball_label(p, *entry.ball))
+            balls.append('"%d": %s' % (p, label or "null"))
+        if group is None:
+            entries.append(
+                '{"group": null, "order": null, "p": %d, "provenance": %s}'
+                % (p, _escape(entry.provenance))
+            )
+        else:
+            entries.append(
+                '{"group": %s, "order": %d, "p": %d, "provenance": %s}'
+                % (_escape(group.label), group.order, p, _escape(entry.provenance))
+            )
+    line = '{"ball_ids": {%s}, "degree": %s, "locals": [%s], %s"s": "%d"}\n' % (
+        ", ".join(balls),
+        "null" if degree is None else "%d" % degree,
+        ", ".join(entries),
+        '"note": "not-tabulated", ' if degree is None else "",
+        s,
+    )
+    return line, degree
 
 
 def cmd_sweep(args) -> int:
@@ -269,12 +294,9 @@ def cmd_sweep(args) -> int:
     Records for range(--from, --to + 1, --step) are computed a block of
     SWEEP_BLOCK at a time, in ascending s (a negative step keeps the stop
     --to + 1: --from 10 --to 1 --step -1 writes s = 3..10, --step -3 writes
-    4, 7, 10). Each block is then encoded by the one JSONEncoder of the call
-    and written by one write, and the summary is counted as they go, so
-    memory does not grow with the range. sweep_record builds every dict in
-    sorted key order and each record is a fresh tree, so the encoder neither
-    sorts keys nor checks for cycles and still writes the bytes of
-    json.dumps(record, sort_keys=True); TestSweep's byte test guards that.
+    4, 7, 10). sweep_record formats each record's line straight from its
+    report; a block's lines go out in one write, and the summary is counted
+    from their degrees as they go, so memory does not grow with the range.
     --out is opened before any record is computed: an
     unwritable path exits 2 with no work done, but a record that raises
     later (exit 2 over a size limit, exit 4 on an internal error) leaves the
@@ -284,7 +306,6 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("--step must not be 0")
     values = range(args.start, args.stop + 1, args.step)
     pending = iter(values if args.step > 0 else reversed(values))
-    encode = json.JSONEncoder(check_circular=False).encode
     records = 0
     degree_counts: dict[str, int] = {}
     all_divide = True
@@ -293,13 +314,12 @@ def cmd_sweep(args) -> int:
             while block := [
                 sweep_record(s) for s in itertools.islice(pending, SWEEP_BLOCK)
             ]:
-                fh.write("".join([encode(record) + "\n" for record in block]))
-                for record in block:
-                    degree = record["degree"]
+                fh.write("".join([line for line, _ in block]))
+                for _, degree in block:
                     key = str(degree) if degree else "not-tabulated"
                     degree_counts[key] = degree_counts.get(key, 0) + 1
                     all_divide = all_divide and (degree is None or 24 % degree == 0)
-                    records += 1
+                records += len(block)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_INVALID

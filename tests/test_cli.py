@@ -23,8 +23,14 @@ import semistab.curves
 import semistab.galois
 import semistab.monodromy
 from semistab import __version__
-from semistab.cli import main
+from semistab.cli import local_data, main
 from semistab.errors import SizeLimitError, TheoremViolationError
+from semistab.monodromy import (
+    DegreeReport,
+    LocalMonodromyResult,
+    MonodromyGroup,
+    family_report,
+)
 
 
 def run(capsys, *argv):
@@ -365,6 +371,38 @@ class TestMissingUnitClass:
         assert err.startswith("internal error: ")
 
 
+def sweep_oracle(s, report):
+    """The README's sweep record of s as a dict, built from report =
+    family_report(s) (None for s = 0) without the cli's code."""
+    if s == 0:
+        return {
+            "s": "0", "degree": None, "locals": [], "ball_ids": None,
+            "note": "singular",
+        }
+    record = {
+        "s": str(s),
+        "degree": report.degree,
+        "locals": [
+            {
+                "p": entry.p,
+                "group": None if entry.group is None else entry.group.label,
+                "order": None if entry.group is None else entry.group.order,
+                "provenance": entry.provenance,
+            }
+            for entry in report.locals
+        ],
+        "ball_ids": {
+            str(entry.p): None if entry.ball is None
+            else f"{entry.ball[0]}+{entry.p}^{entry.ball[1]}"
+            for entry in report.locals
+            if entry.p in (2, 3)
+        },
+    }
+    if report.degree is None:
+        record["note"] = "not-tabulated"
+    return record
+
+
 class TestSweep:
     def test_small_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.jsonl"
@@ -393,10 +431,18 @@ class TestSweep:
             "--out", str(out_file),
         )
         assert code == 0
-        records = [semistab.cli.sweep_record(s) for s in range(start, stop + 1)]
+        reports = [
+            (s, None if s == 0 else family_report(s)) for s in range(start, stop + 1)
+        ]
+        records = [sweep_oracle(s, report) for s, report in reports]
         assert out_file.read_bytes() == "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records
         ).encode()
+        # curve --json and sweep print one entry shape
+        for line, (_, report) in zip(out_file.read_text().splitlines(), reports):
+            assert json.loads(line)["locals"] == [
+                local_data(entry) for entry in (report.locals if report else ())
+            ]
         counts: dict[str, int] = {}
         for record in records:
             key = str(record["degree"]) if record["degree"] else "not-tabulated"
@@ -409,6 +455,29 @@ class TestSweep:
             ),
         }
         assert out == json.dumps(summary, sort_keys=True) + "\n"
+
+    def test_strings_are_escaped_as_json_dumps_does(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # No real provenance needs escaping; a refusal's text is free-form.
+        provenance = 'refused: "v2 = 9" \\ next\nline\ttab \u00e9 \u2028 \x01'
+        report = DegreeReport(
+            Fraction(5),
+            (
+                LocalMonodromyResult(2, None, provenance),
+                LocalMonodromyResult(3, MonodromyGroup.DIC3, "family-table-3", (5, 2)),
+            ),
+            None,
+        )
+        monkeypatch.setattr(semistab.cli, "family_report", lambda s: report)
+        out_file = tmp_path / "x.jsonl"
+        code, _, _ = run(
+            capsys, "sweep", "--from", "5", "--to", "5", "--out", str(out_file)
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (
+            json.dumps(sweep_oracle(5, report), sort_keys=True) + "\n"
+        ).encode()
 
     def test_thread_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
