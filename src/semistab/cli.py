@@ -15,10 +15,12 @@ through json.dumps; `sweep` formats each record's line straight from its
 report, in the bytes json.dumps would give it. `sweep` computes its
 records serially: --threads is accepted and has no effect.
 
-main builds the top-level parser and only the subcommand parser that argv
-names (argv[0], or argv[1] after an exact --plain). Any other argv, such as
-help, no command, an abbreviation or an unknown word, gets the full parser
-with all six. Nothing is kept between calls.
+main parses the command that argv names (argv[0], or argv[1] after an
+exact --plain) with one parser of its own, which reads the tokens after the
+command. Any other argv, such as help, no command, an abbreviation or an
+unknown word, and one with a token that parser leaves over, gets the full
+parser with all six, built from the same declarations. Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -458,17 +460,75 @@ def cmd_verify(args) -> int:
 # parser
 
 
-COMMANDS = ("minkowski", "curve", "cover", "sweep", "galois", "verify")
+# Each command and its one-line help in the full parser's list.
+COMMANDS = {
+    "minkowski": "Minkowski bound table",
+    "curve": "monodromy and degree of one curve",
+    "cover": "p-adic ball decomposition",
+    "sweep": "batch-evaluate integer parameters",
+    "galois": "Galois closure of a finite cover",
+    "verify": "run the pinned regression checks",
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser and every subcommand parser, or only ``command``'s.
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare command's arguments and its func on parser: a sub-parser of
+    build_parser's, or the standalone parser main builds for that command."""
+    if command == "minkowski":
+        parser.add_argument("--g", type=int, required=True, help="max dimension g")
+        parser.add_argument("--gl-mod", type=int, default=12, dest="gl_mod")
+        parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        parser.set_defaults(func=cmd_minkowski)
+    elif command == "curve":
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--s",
+            help="family parameter (integer or num/den); a negative num/den "
+            "needs '=', as in --s=-1/2",
+        )
+        group.add_argument(
+            "--a",
+            help="a1,a2,a3,a4,a6 of a Weierstrass equation; a list that starts "
+            "with '-' needs '=', as in --a=-1,0,0,0,1",
+        )
+        parser.add_argument("--json", action="store_true")
+        parser.set_defaults(func=cmd_curve)
+    elif command == "cover":
+        parser.add_argument("--p", type=int, required=True)
+        parser.add_argument("--min-val", type=int, required=True, dest="min_val")
+        parser.add_argument("--max-val", type=int, required=True, dest="max_val")
+        parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        parser.set_defaults(func=cmd_cover)
+    elif command == "sweep":
+        parser.add_argument("--from", type=int, required=True, dest="start")
+        parser.add_argument("--to", type=int, required=True, dest="stop")
+        parser.add_argument("--step", type=int, default=1)
+        parser.add_argument("--out", required=True)
+        parser.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; records are computed serially",
+        )
+        parser.set_defaults(func=cmd_sweep)
+    elif command == "galois":
+        parser.add_argument("--degree", type=int, required=True)
+        parser.add_argument(
+            "--gens", required=True, help="generators in cycle notation, ';'-separated"
+        )
+        parser.add_argument("--check-all", action="store_true", dest="check_all")
+        parser.add_argument("--json", action="store_true")
+        parser.set_defaults(func=cmd_galois)
+    else:  # verify takes no arguments
+        parser.set_defaults(func=cmd_verify)
 
-    main passes the command that argv names (named_command); help, errors and
-    abbreviations get the full parser. Either way the usage line lists all six
-    commands. Only the one-command parser sets that metavar: argparse names
-    the positional by it in its "required: command" and "invalid choice"
-    errors, which only the full parser can print.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser and all six subcommand parsers.
+
+    main parses with it only when argv names no command, or when the named
+    command's own parser leaves a token over: help, errors and abbreviations
+    at the top level, and "unrecognized arguments" under its usage.
     """
     parser = argparse.ArgumentParser(
         prog="semistab",
@@ -481,68 +541,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--plain", action="store_true", help="suppress the version header line"
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if command in (None, "minkowski"):
-        p_mink = sub.add_parser("minkowski", help="Minkowski bound table")
-        p_mink.add_argument("--g", type=int, required=True, help="max dimension g")
-        p_mink.add_argument("--gl-mod", type=int, default=12, dest="gl_mod")
-        p_mink.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p_mink.set_defaults(func=cmd_minkowski)
-
-    if command in (None, "curve"):
-        p_curve = sub.add_parser("curve", help="monodromy and degree of one curve")
-        group = p_curve.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--s",
-            help="family parameter (integer or num/den); a negative num/den "
-            "needs '=', as in --s=-1/2",
-        )
-        group.add_argument(
-            "--a",
-            help="a1,a2,a3,a4,a6 of a Weierstrass equation; a list that starts "
-            "with '-' needs '=', as in --a=-1,0,0,0,1",
-        )
-        p_curve.add_argument("--json", action="store_true")
-        p_curve.set_defaults(func=cmd_curve)
-
-    if command in (None, "cover"):
-        p_cover = sub.add_parser("cover", help="p-adic ball decomposition")
-        p_cover.add_argument("--p", type=int, required=True)
-        p_cover.add_argument("--min-val", type=int, required=True, dest="min_val")
-        p_cover.add_argument("--max-val", type=int, required=True, dest="max_val")
-        p_cover.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p_cover.set_defaults(func=cmd_cover)
-
-    if command in (None, "sweep"):
-        p_sweep = sub.add_parser("sweep", help="batch-evaluate integer parameters")
-        p_sweep.add_argument("--from", type=int, required=True, dest="start")
-        p_sweep.add_argument("--to", type=int, required=True, dest="stop")
-        p_sweep.add_argument("--step", type=int, default=1)
-        p_sweep.add_argument("--out", required=True)
-        p_sweep.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; records are computed serially",
-        )
-        p_sweep.set_defaults(func=cmd_sweep)
-
-    if command in (None, "galois"):
-        p_galois = sub.add_parser("galois", help="Galois closure of a finite cover")
-        p_galois.add_argument("--degree", type=int, required=True)
-        p_galois.add_argument(
-            "--gens", required=True, help="generators in cycle notation, ';'-separated"
-        )
-        p_galois.add_argument("--check-all", action="store_true", dest="check_all")
-        p_galois.add_argument("--json", action="store_true")
-        p_galois.set_defaults(func=cmd_galois)
-
-    if command in (None, "verify"):
-        p_verify = sub.add_parser("verify", help="run the pinned regression checks")
-        p_verify.set_defaults(func=cmd_verify)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, help_line in COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
 
 
@@ -554,9 +555,33 @@ def named_command(argv: list[str]) -> str | None:
     return argv[i] if i < len(argv) and argv[i] in COMMANDS else None
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building less of it.
+
+    A command that named_command finds gets one standalone parser with the
+    prog that add_parser gives its sub-parser, "semistab <command>", so its
+    help and its errors in its own arguments are the sub-parser's. It reads
+    the tokens after the command, as the sub-parser would, into a namespace
+    that already holds plain and command. A token it leaves over is an
+    error only the top-level parser prints, under its own usage, so that
+    argv, like one that names no command, goes to the full parser.
+    """
+    command = named_command(argv)
+    if command is not None:
+        plain = argv[0] == "--plain"
+        parser = argparse.ArgumentParser(prog=f"semistab {command}")
+        _add_arguments(parser, command)
+        args, rest = parser.parse_known_args(
+            argv[1 + plain:], argparse.Namespace(plain=plain, command=command)
+        )
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(named_command(argv)).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except NotTabulatedError as exc:

@@ -121,18 +121,22 @@ def family_curve(s: Rational) -> WeierstrassCurve:
     return WeierstrassCurve(0, 0, 0, 0, s)
 
 
-def _tame_valuations(curve: WeierstrassCurve, p: int) -> tuple[int, int | float]:
+def _tame_valuations(
+    curve: WeierstrassCurve, p: int, prime_known: bool = False
+) -> tuple[int, int | float]:
     """(v_p(delta), v_p(c4)) of this model (INFINITY when c4 = 0) at p >= 5;
     UnsupportedPrimeError at 2 and 3, InvalidInputError (from valuation) at a
     p that is not prime. p is tested for primality once, by the valuation of
-    delta."""
+    delta, unless prime_known: curve_report passes the primes factorize has
+    just returned, and those are not tested again."""
     if p in (2, 3):
         raise UnsupportedPrimeError(
             "only p >= 5 supported; reduction at 2 and 3 is handled through "
             "the family's tabulated valuation ranges"
         )
     inv = curve.invariants
-    return valuation(inv.delta, p), _prime_valuation(inv.c4, p)
+    v_delta = _prime_valuation(inv.delta, p) if prime_known else valuation(inv.delta, p)
+    return v_delta, _prime_valuation(inv.c4, p)
 
 
 def minimalize_at_p(

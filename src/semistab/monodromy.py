@@ -348,7 +348,10 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
     Family-form curves take family_report. Any other curve must have
     integral coefficients (else InvalidInputError); the primes dividing its
     discriminant are tried and those with trivial monodromy (good or
-    multiplicative reduction) are left out.
+    multiplicative reduction) are left out. Each is tested for primality
+    once, by factorize: 2 and 3 go to phi_general_curve, and every other p
+    to the tame rule that phi_general_curve would apply, on valuations read
+    with no second test.
     """
     if curve.is_family_form():
         return family_report(curve.a6)
@@ -356,6 +359,8 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
         raise InvalidInputError("general mode requires an integral model")
     results = [
         _or_refusal(p, phi_general_curve, curve, p)
+        if p in FAMILY_TABLES
+        else _tame_result(p, *_tame_valuations(curve, p, prime_known=True))
         for p in factorize(curve.invariants.delta.numerator)
     ]
     return _degree_report(

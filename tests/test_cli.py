@@ -770,6 +770,55 @@ class TestBrokenPipe:
         assert proc.returncode == 141
 
 
+
+# Malformed or edge argvs, each run as `python -m semistab` in a fresh
+# process, across all six commands, with the exit code each ends in: parse
+# errors, values the library refuses (2) or leaves untabulated (3), size
+# limits, unwritable paths, and inputs accepted leniently (1_000, ' 5').
+_PROBE_EXITS = {
+    ("curve", "--s", "0"): 2, ("curve", "--s", "1/0"): 2, ("curve", "--s", "abc"): 2,
+    ("curve", "--s", "1.5"): 2, ("curve", "--s", ""): 2, ("curve", "--s", "1_000"): 3,
+    ("curve", "--s", " 5"): 0, ("curve", "--s=-0/7"): 2, ("curve", "--a", "0,0,0,0,0"): 2,
+    ("curve", "--a", "1,2,3"): 2, ("curve", "--a", "0,0,0,1/2,1"): 2,
+    ("curve", "--a", "0,0,1,0,0"): 3, ("curve", "--s", "2" + "0" * 4400): 2, ("curve",): 2,
+    ("curve", "--s", "1", "--a", "0,0,0,1,1"): 2, ("curve", "--s", "1", "--plain"): 2,
+    ("cover", "--p", "4", "--min-val", "0", "--max-val", "2"): 2,
+    ("cover", "--p", "5", "--min-val", "0", "--max-val", "2"): 3,
+    ("cover", "--p", "2", "--min-val", "3", "--max-val", "1"): 2,
+    ("cover", "--p", "-3", "--min-val", "0", "--max-val", "1"): 2,
+    ("cover", "--p", "3", "--min-val", "-2", "--max-val", "9"): 3,
+    ("minkowski", "--g", "0"): 2, ("minkowski", "--g", "-1"): 2, ("minkowski", "--g", "32"): 2,
+    ("minkowski", "--g", "2", "--gl-mod", "0"): 2, ("minkowski", "--g", "2", "--gl-mod", "1"): 0,
+    ("minkowski", "--g", "x"): 2,
+    ("sweep", "--from", "1", "--to", "5", "--step", "0", "--out", "x"): 2,
+    ("sweep", "--from", "1", "--to", "5", "--out", "missing/x"): 2,
+    ("sweep", "--from", "1", "--to", "3", "--out", "."): 2,
+    ("sweep", "--from", "5", "--to", "1", "--out", "x"): 0,
+    ("sweep", "--from", "-3", "--to", "3", "--threads", "0", "--out", "x"): 0,
+    ("galois", "--degree", "0", "--gens", "()"): 2,
+    ("galois", "--degree", "3", "--gens", "(1 4)"): 2,
+    ("galois", "--degree", "3", "--gens", "(1 a)"): 2,
+    ("galois", "--degree", "3", "--gens", ""): 2,
+    ("galois", "--degree", "3", "--gens", "(1 2)(1 2)"): 2,
+    ("galois", "--degree", "8", "--gens", "(1 2);(1 2 3 4 5 6 7 8)"): 2,
+    ("verify",): 0, ("verify", "extra"): 2, ("--plain", "verify"): 0, (): 2,
+    ("frobnicate",): 2, ("--help",): 0,
+}
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("argv", list(_PROBE_EXITS), ids=lambda argv: " ".join(argv)[:60])
+    def test_exits_without_traceback(self, tmp_path, argv):
+        # sweep's relative --out paths land in tmp_path
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in {0, 1, 2, 3, 141}
+        assert proc.returncode == _PROBE_EXITS[argv], proc.stderr
+
 _RATIONAL_TEXT = st.one_of(
     st.integers(-(10**18), 10**18).map(str),
     st.builds(
@@ -862,10 +911,11 @@ class TestFuzzMain:
 
 
 
-# Each case is parsed by the parser main builds for it and by the full one.
+# Each case is parsed as main parses it (a named command's own parser, and
+# the full parser when that leaves a token over) and by the full parser.
 # They cover help, errors, --plain, abbreviations and '--'; the lines that
 # reach the top-level parser's usage after a command (an unrecognized
-# argument) fail if the one-command parser's usage names only its command.
+# argument) fail if they are printed under the command's usage instead.
 PARITY_ARGV = [
     [], ["-h"], ["--help"], ["--plain"], ["--plain", "-h"], ["-h", "curve"],
     ["--pl", "curve", "--s", "1"], ["--p", "curve", "--s", "1"], ["--plain=1", "curve"],
@@ -891,21 +941,21 @@ PARITY_ARGV = [
 ]
 
 
-def _parse(command, argv):
-    """What build_parser(command) makes of argv: the namespace, or the exit
-    code; with what it printed."""
+def _parse(parse, argv):
+    """What parse(argv) makes of argv: the namespace, or the exit code; with
+    what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(semistab.cli.build_parser(command).parse_args(argv))
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
 
 
 def _assert_parity(argv):
-    command = semistab.cli.named_command(argv)
-    assert _parse(command, argv) == _parse(None, argv), argv
+    full = _parse(lambda argv: semistab.cli.build_parser().parse_args(argv), argv)
+    assert _parse(semistab.cli._parse_args, argv) == full, argv
 
 
 # Tokens that move argv off the one-command path, or into an error.
@@ -952,10 +1002,20 @@ class TestParserConstruction:
                 pass
         return built
 
-    def test_named_command_builds_two(self, monkeypatch, tmp_path):
-        assert len(self.parsers_built(monkeypatch, ["curve", "--s", "1", "--json"])) == 2
+    def test_named_command_builds_one(self, monkeypatch, tmp_path):
+        built = self.parsers_built(monkeypatch, ["curve", "--s", "1", "--json"])
+        assert built == ["semistab curve"]
         sweep = ["--plain", "sweep", "--from", "1", "--to", "5", "--out", str(tmp_path / "o")]
-        assert len(self.parsers_built(monkeypatch, sweep)) == 2
+        assert self.parsers_built(monkeypatch, sweep) == ["semistab sweep"]
+
+    @pytest.mark.parametrize(
+        "argv", [["curve", "--s", "1", "--plain"], ["curve", "--s", "1", "--bogus"]],
+        ids=" ".join,
+    )
+    def test_stray_token_builds_one_then_all_seven(self, monkeypatch, argv):
+        built = self.parsers_built(monkeypatch, argv)
+        assert built[:2] == ["semistab curve", "semistab"]
+        assert len(built) == 1 + 7
 
     @pytest.mark.parametrize(
         "argv", [["--help"], [], ["frobnicate"], ["--pl", "curve", "--s", "1"]], ids=" ".join

@@ -1091,6 +1091,31 @@ class TestOneFactorizationRoutes:
         phi_family_at_3(12)
         assert calls == [(12, 2), (12, 3)]
 
+    def test_curve_report_tests_no_prime_of_delta_again(self, monkeypatch):
+        # factorize settles the primes of delta; curve_report reads v_p(delta)
+        # at p >= 5 with no second Miller-Rabin. A p that a caller names is
+        # still tested.
+        curve = WeierstrassCurve(0, 0, 0, -123457, 987654331)
+        # -2^4 5^2 11 19 53 107 131 6783164363: the last is the only piece
+        # factorize itself hands to is_prime
+        delta = curve.invariants.delta.numerator
+        is_prime = semistab.arith.is_prime
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(semistab.arith, "is_prime", counted)
+        factorize(delta)
+        assert calls == [6783164363]
+        calls.clear()
+        curve_report(curve)
+        assert [p for p in calls if p >= 5] == [6783164363]
+        calls.clear()
+        assert phi_general_curve(curve, 6783164363).group is MonodromyGroup.C1
+        assert calls == [6783164363]
+
     def test_sweep_computes_no_valuation_and_no_cover(self, monkeypatch, tmp_path):
         # A sweep record's ball labels ride on family_report's results, read
         # with the v that bad_primes read: no valuation, cover or locate.
