@@ -266,9 +266,12 @@ def residue(x: Rational, modulus: int) -> int:
 
     The denominator is inverted mod modulus; this is the canonical image of
     x in Z/modulus when x is a p-adic integer for every p | modulus. x is
-    read as x.numerator / x.denominator, which an int has as x / 1.
+    read as x.numerator / x.denominator, which an int has as x / 1; a
+    denominator of 1 needs no inverse, and the image is num % modulus.
     """
     num, den = x.numerator, x.denominator
+    if den == 1:
+        return num % modulus
     if math.gcd(den, modulus) != 1:
         raise InvalidInputError(
             f"{x} has no well-defined residue mod {modulus}"

@@ -12,7 +12,8 @@ The per-prime monodromy and the degree come from monodromy.family_report and
 monodromy.curve_report; this module only serializes them, `sweep`'s ball
 labels at 2 and 3 too (the balls on those results). `curve` prints a dict
 through json.dumps; `sweep` formats each record's line straight from its
-report, in the bytes json.dumps would give it. `sweep` computes its
+report, in the bytes json.dumps would give it, each entry with a group from
+a fragment built once per (group, provenance). `sweep` computes its
 records serially: --threads is accepted and has no effect.
 
 main parses the command that argv names (argv[0], or argv[1] after an
@@ -83,11 +84,26 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by i
 SWEEP_BLOCK = 100
 
 # The escaper of json.dumps's default (ASCII) output, for sweep_record's
-# strings; the line of s = 0, the singular curve, which has no report.
+# refusal texts; the line of s = 0, the singular curve, which has no report.
 _escape = json.encoder.encode_basestring_ascii
 _SINGULAR_LINE = (
     '{"ball_ids": null, "degree": null, "locals": [], "note": "singular", "s": "0"}\n'
 )
+
+# sweep_record's entry with a group, as a format string of its prime p: one
+# per (group label, provenance) that LocalMonodromyResult admits with a
+# group, so 7 x 4 keys, each `fmt % p` the bytes json.dumps gives local_data.
+# Keyed by the label, a str, because an Enum member hashes in Python code.
+_ENTRY_FORMATS = {
+    (group.label, provenance): (
+        '{"group": %s, "order": %d, "p": %%d, "provenance": %s}'
+        % (_escape(group.label), group.order, _escape(provenance))
+    )
+    for group in MonodromyGroup
+    for provenance in (
+        "family-table-2", "family-table-3", "tame-rule", "good-reduction"
+    )
+}
 
 
 def _header(args) -> None:
@@ -253,12 +269,14 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     (None where a prime is refused, and for s = 0, the singular curve).
 
     The line is formatted from the report, with no record dict: its keys in
-    sorted order, every string through the escaper that json.dumps uses,
-    ints by %d and None as null, so it is the bytes of
+    sorted order, ints by %d and None as null, so it is the bytes of
     json.dumps(record, sort_keys=True) for the record of the README. Its
-    entries under "locals" have the shape local_data gives `curve`, and
-    ball_ids labels the ball of s at 2 and 3 that the group was read off,
-    null where that prime is refused. TestSweep's byte test checks both."""
+    entries under "locals" have the shape local_data gives `curve`: one with
+    a group is its _ENTRY_FORMATS fragment % p, a refusal's free-form text
+    goes through the escaper that json.dumps uses. ball_ids labels the ball
+    of s at 2 and 3 that the group was read off (digits, '+' and '^', which
+    need no escaping), null where that prime is refused. TestSweep's byte
+    test checks both."""
     if s == 0:
         return _SINGULAR_LINE, None
     report = family_report(s)
@@ -268,18 +286,17 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     for entry in report.locals:
         p, group = entry.p, entry.group
         if p in FAMILY_TABLES:
-            label = entry.ball and _escape(_ball_label(p, *entry.ball))
-            balls.append('"%d": %s' % (p, label or "null"))
+            ball = entry.ball
+            balls.append(
+                '"%d": "%s"' % (p, _ball_label(p, *ball)) if ball else '"%d": null' % p
+            )
         if group is None:
             entries.append(
                 '{"group": null, "order": null, "p": %d, "provenance": %s}'
                 % (p, _escape(entry.provenance))
             )
         else:
-            entries.append(
-                '{"group": %s, "order": %d, "p": %d, "provenance": %s}'
-                % (_escape(group.label), group.order, p, _escape(entry.provenance))
-            )
+            entries.append(_ENTRY_FORMATS[group.label, entry.provenance] % p)
     line = '{"ball_ids": {%s}, "degree": %s, "locals": [%s], %s"s": "%d"}\n' % (
         ", ".join(balls),
         "null" if degree is None else "%d" % degree,

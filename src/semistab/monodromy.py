@@ -11,9 +11,11 @@ rule over v mod 6, at 2 a row or a refusal (NotTabulatedError), no guess. The
 result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
 one lookup, _family_ball, returns the one of s, with its group and its p-adic
 ball, for the rules here and for the cover module's balls and locate. At
-p >= 5 one tame rule (Serre-Tate), _tame_group, serves the family and
-phi_tame. In family_report every rule takes v_p(s) from the one factorization
-in bad_primes; it computes no valuation of its own.
+p >= 5 one tame rule (Serre-Tate), _tame_group, serves phi_tame and the
+family; for the family it is read once, at import, into six rows
+_FAMILY_TAME, one per v_p(s) mod 6, since v_p(delta) = 2 v_p(s) and c4 = 0.
+In family_report every rule takes v_p(s) from the one factorization in
+bad_primes, one call per prime; it computes no valuation of its own.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -156,8 +158,9 @@ class DegreeReport:
 
 
 def _nonzero_parameter(s: Rational) -> Fraction:
-    """s as a Fraction; SingularCurveError when s = 0, a singular cubic."""
-    if (s := Fraction(s)) == 0:
+    """s as a Fraction; SingularCurveError when s = 0, a singular cubic (the
+    Fraction's numerator 0, so "0" and 0.0 are refused as 0 is)."""
+    if not (s := Fraction(s)).numerator:
         raise SingularCurveError("s = 0")
     return s
 
@@ -228,6 +231,18 @@ def _tame_group(klass: str, v_delta: int) -> MonodromyGroup:
     return _CYCLIC_BY_ORDER[e]
 
 
+#: The family's tame rule at p >= 5, one (group, provenance) row per v_p(s)
+#: mod 6. The model y^2 = x^3 + s has v_p(delta) = 2 v_p(s) and c4 = 0, so its
+#: _reduction_class and _tame_group depend on 2 v_p(s) mod 12 alone: row w is
+#: taken from them at v_p(delta) = 2w, which also runs _tame_group's check on
+#: every case the family reaches. Row 0 is good reduction, C1; row w != 0 is
+#: the cyclic group of order 6 / gcd(w, 6), by the tame rule.
+_FAMILY_TAME: tuple[tuple[MonodromyGroup, str], ...] = tuple(
+    (_tame_group(klass, 2 * w), "good-reduction" if klass == "good" else "tame-rule")
+    for w, klass in enumerate(_reduction_class(2 * w, INFINITY) for w in range(6))
+)
+
+
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     """Monodromy group at a tame prime p >= 5 of any model of the curve,
     minimal or integral at p or not: _tame_result on its _tame_valuations."""
@@ -239,8 +254,8 @@ def bad_primes(s: Fraction) -> dict[int, int]:
     prime order, each mapped to v_p(s).
 
     Candidates divide 432 * num(s) * den(s), and 2 and 3 always remain bad
-    (432 = 2^4 * 3^3); p >= 5 is bad unless _reduction_class of this model,
-    v_p(delta) = 2 v_p(s) and c4 = 0, is good. The valuations are read off
+    (432 = 2^4 * 3^3); p >= 5 is bad unless its _FAMILY_TAME row, v_p(s) mod
+    6, has the trivial group (good reduction). The valuations are read off
     one factorization of num(s) and, when den(s) > 1, one of den(s); one
     loop then enters 2 and 3 and each bad p > 3 in prime order.
     """
@@ -254,7 +269,7 @@ def bad_primes(s: Fraction) -> dict[int, int]:
         ]))
     bad = {2: valuations.get(2, 0), 3: valuations.get(3, 0)}
     for p, v in valuations.items():
-        if p > 3 and _reduction_class(2 * v, INFINITY) != "good":
+        if p > 3 and _FAMILY_TAME[v % 6][0].order > 1:
             bad[p] = v
     return bad
 
@@ -271,11 +286,12 @@ def _tame_result(p: int, v_delta: int, v_c4: int | float) -> LocalMonodromyResul
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
     the v that bad_primes read): at 2 and 3 the result _family_ball returns,
-    built once per ball, else _tame_result on the valuations of this model,
-    v_p(delta) = 2v (delta = -432 s^2) and c4 = 0, for v < 0 too."""
+    built once per ball, else the group and provenance of the _FAMILY_TAME
+    row v mod 6, for v < 0 too."""
     if p in FAMILY_TABLES:
         return _family_ball(p, s, v)
-    return _tame_result(p, 2 * v, INFINITY)
+    group, provenance = _FAMILY_TAME[v % 6]
+    return LocalMonodromyResult(p, group, provenance)
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
@@ -303,13 +319,10 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     )
 
 
-def _or_refusal(p: int, derive, *args) -> LocalMonodromyResult:
-    """derive(*args), the local result at p, or the refusal of p carried as
-    data."""
-    try:
-        return derive(*args)
-    except NotTabulatedError as exc:
-        return LocalMonodromyResult(p=p, group=None, provenance=str(exc))
+def _refusal(p: int, exc: NotTabulatedError) -> LocalMonodromyResult:
+    """The refusal of p carried as data: group None, exc's text as its
+    provenance."""
+    return LocalMonodromyResult(p=p, group=None, provenance=str(exc))
 
 
 def _degree_report(
@@ -333,13 +346,18 @@ def _degree_report(
 def family_report(s: Rational) -> DegreeReport:
     """Local monodromy of y^2 = x^3 + s at every bad prime, and d(E_s).
 
-    Primes outside the tabulated ranges are refused as data; the degree is
-    then None.
+    One _phi_family call per prime that bad_primes returns, on the v_p(s) it
+    read. Primes outside the tabulated ranges are refused as data (_refusal);
+    the degree is then None.
     """
     s = _nonzero_parameter(s)
-    return _degree_report(
-        s, [_or_refusal(p, _phi_family, s, p, v) for p, v in bad_primes(s).items()]
-    )
+    locals_ = []
+    for p, v in bad_primes(s).items():
+        try:
+            locals_.append(_phi_family(s, p, v))
+        except NotTabulatedError as exc:
+            locals_.append(_refusal(p, exc))
+    return _degree_report(s, locals_)
 
 
 def curve_report(curve: WeierstrassCurve) -> DegreeReport:
@@ -357,15 +375,18 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
         return family_report(curve.a6)
     if any(a.denominator != 1 for a in curve.coefficients):
         raise InvalidInputError("general mode requires an integral model")
-    results = [
-        _or_refusal(p, phi_general_curve, curve, p)
-        if p in FAMILY_TABLES
-        else _tame_result(p, *_tame_valuations(curve, p, prime_known=True))
-        for p in factorize(curve.invariants.delta.numerator)
-    ]
-    return _degree_report(
-        None, [entry for entry in results if entry.group is not MonodromyGroup.C1]
-    )
+    results = []
+    for p in factorize(curve.invariants.delta.numerator):
+        if p not in FAMILY_TABLES:
+            entry = _tame_result(p, *_tame_valuations(curve, p, prime_known=True))
+        else:
+            try:
+                entry = phi_general_curve(curve, p)
+            except NotTabulatedError as exc:
+                entry = _refusal(p, exc)
+        if entry.group is not MonodromyGroup.C1:
+            results.append(entry)
+    return _degree_report(None, results)
 
 
 def semistability_degree(s: Rational) -> DegreeReport:

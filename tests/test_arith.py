@@ -318,6 +318,28 @@ class TestResidue:
         with pytest.raises(InvalidInputError):
             residue(Fraction(1, 3), 9)
 
+    @pytest.mark.parametrize("modulus", [2, 4, 9, 3**6, 2**5 * 3**5])
+    def test_integer_is_int_mod(self, modulus):
+        # A denominator of 1 takes no inverse: the image is n % modulus, on
+        # the int route and the Fraction route alike.
+        rng = random.Random(modulus)
+        for _ in range(200):
+            n = rng.randint(-(10**30), 10**30)
+            assert residue(n, modulus) == n % modulus == residue(Fraction(n), modulus)
+
+    @pytest.mark.parametrize(
+        "x, modulus, text",
+        [
+            (Fraction(1, 3), 9, "1/3 has no well-defined residue mod 9"),
+            (Fraction(-5, 2), 4, "-5/2 has no well-defined residue mod 4"),
+            (Fraction(7, 6), 2**5 * 3**5, "7/6 has no well-defined residue mod 7776"),
+        ],
+    )
+    def test_shared_factor_message(self, x, modulus, text):
+        with pytest.raises(InvalidInputError) as exc:
+            residue(x, modulus)
+        assert str(exc.value) == text
+
 
 class TestParseRational:
     def test_forms(self):

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -478,6 +479,25 @@ class TestSweep:
         assert out_file.read_bytes() == (
             json.dumps(sweep_oracle(5, report), sort_keys=True) + "\n"
         ).encode()
+
+    def test_entry_fragments_are_json_dumps_of_local_data(self):
+        # Every key, C1 and good-reduction too, which no sweep range here
+        # reaches; the keys are exactly the pairs the result's check admits.
+        groups = {group.label: group for group in MonodromyGroup}
+        admitted = set()
+        for group in MonodromyGroup:
+            for provenance in (
+                "family-table-2", "family-table-3", "tame-rule", "good-reduction"
+            ):
+                for p in (2, 3, 5):
+                    with contextlib.suppress(TheoremViolationError):
+                        LocalMonodromyResult(p, group, provenance)
+                        admitted.add((group.label, provenance))
+        assert set(semistab.cli._ENTRY_FORMATS) == admitted
+        for (label, provenance), fmt in semistab.cli._ENTRY_FORMATS.items():
+            for p in (2, 3, 5, 10**40 + 1):
+                entry = SimpleNamespace(p=p, group=groups[label], provenance=provenance)
+                assert fmt % p == json.dumps(local_data(entry), sort_keys=True)
 
     def test_thread_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

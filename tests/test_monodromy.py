@@ -351,6 +351,21 @@ class TestPhiTame:
                     assert entry.group is expected, (s, p)
                     assert entry.provenance == "tame-rule", (s, p)
 
+    @pytest.mark.parametrize("p", [5, 7, 10007])
+    def test_family_rows_match_closed_form(self, p):
+        # The route above runs _tame_group on both sides, so a wrong divisor
+        # there passes it. Here the order is written out: v_p(delta) = 2v
+        # gives 12 / gcd(2v, 12) = 6 / gcd(v, 6), and no entry when 6 | v.
+        cyclic = {2: G.C2, 3: G.C3, 6: G.C6}
+        for v in range(-13, 14):
+            for u in (1, -2, Fraction(-17, 4)):
+                entry = family_report(u * Fraction(p) ** v).local_at(p)
+                if v % 6 == 0:
+                    assert entry is None, (u, p, v)
+                else:
+                    expected = (cyclic[6 // math.gcd(v, 6)], "tame-rule")
+                    assert (entry.group, entry.provenance) == expected, (u, p, v)
+
     def test_trivial_iff_good_or_multiplicative(self, rng):
         for _ in range(300):
             p = rng.choice(TAME_PRIME_POOL)
@@ -509,6 +524,11 @@ class TestProvenanceCheck:
 
 
 class TestReports:
+    @pytest.mark.parametrize("zero", [0, Fraction(0, 7), 0.0, "0"])
+    def test_zero_parameter_is_singular(self, zero):
+        with pytest.raises(SingularCurveError, match="^s = 0$"):
+            family_report(zero)
+
     def test_refusals_are_data_in_prime_order(self):
         report = family_report(1944)  # 2^3 * 3^5: refused at 2 only
         assert report.degree is None
