@@ -1,6 +1,7 @@
 """Weierstrass equations over Q: invariants, the family y^2 = x^3 + s, the
 minimal model at p >= 5 and the reduction type there, read off v_p(delta) and
-v_p(c4) of any model, which _tame_valuations alone reads, for every p >= 5 rule.
+v_p(c4) of any model (_tame_valuations, for a p a caller names) by one rule,
+_reduction_class.
 
 Sign convention note: we use the standard c6 = -b2^3 + 36 b2 b4 - 216 b6,
 which gives c6 = -864 s for the family curve (0,0,0,0,s). Some tables print
@@ -121,22 +122,18 @@ def family_curve(s: Rational) -> WeierstrassCurve:
     return WeierstrassCurve(0, 0, 0, 0, s)
 
 
-def _tame_valuations(
-    curve: WeierstrassCurve, p: int, prime_known: bool = False
-) -> tuple[int, int | float]:
+def _tame_valuations(curve: WeierstrassCurve, p: int) -> tuple[int, int | float]:
     """(v_p(delta), v_p(c4)) of this model (INFINITY when c4 = 0) at p >= 5;
     UnsupportedPrimeError at 2 and 3, InvalidInputError (from valuation) at a
     p that is not prime. p is tested for primality once, by the valuation of
-    delta, unless prime_known: curve_report passes the primes factorize has
-    just returned, and those are not tested again."""
+    delta."""
     if p in (2, 3):
         raise UnsupportedPrimeError(
             "only p >= 5 supported; reduction at 2 and 3 is handled through "
             "the family's tabulated valuation ranges"
         )
     inv = curve.invariants
-    v_delta = _prime_valuation(inv.delta, p) if prime_known else valuation(inv.delta, p)
-    return v_delta, _prime_valuation(inv.c4, p)
+    return valuation(inv.delta, p), _prime_valuation(inv.c4, p)
 
 
 def minimalize_at_p(

@@ -11,11 +11,12 @@ rule over v mod 6, at 2 a row or a refusal (NotTabulatedError), no guess. The
 result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
 one lookup, _family_ball, returns the one of s, with its group and its p-adic
 ball, for the rules here and for the cover module's balls and locate. At
-p >= 5 one tame rule (Serre-Tate), _tame_group, serves phi_tame and the
-family; for the family it is read once, at import, into six rows
-_FAMILY_TAME, one per v_p(s) mod 6, since v_p(delta) = 2 v_p(s) and c4 = 0.
-In family_report every rule takes v_p(s) from the one factorization in
-bad_primes, one call per prime; it computes no valuation of its own.
+p >= 5 one tame rule (Serre-Tate), _tame_rule, serves every model; for the
+family it is read once, at import, into six rows _FAMILY_TAME, one per
+v_p(s) mod 6, since v_p(delta) = 2 v_p(s) and c4 = 0. family_report takes
+v_p(s) from the one factorization in bad_primes, and curve_report takes
+v_p(delta) from the one factorization of delta for _phi_model, the rule of
+any other model: one call per prime, and no valuation call of their own.
 
 This module is the one place that derives a curve's per-prime results:
 family_report and curve_report return every bad prime in prime order, a
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, Rational, factorize, residue, valuation
+from .arith import INFINITY, Rational, _prime_valuation, factorize, residue, valuation
 from .curves import WeierstrassCurve, _reduction_class, _tame_valuations
 from .errors import (
     InvalidInputError,
@@ -209,44 +210,43 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     return _family_ball(2, s, valuation(s, 2)).group
 
 
-def _tame_group(klass: str, v_delta: int) -> MonodromyGroup:
-    """The tame rule (Serre-Tate) at p >= 5, from the _reduction_class and
-    v_p(delta) of any model.
-
-    Good or multiplicative reduction: trivial. Additive potentially
-    multiplicative: C2. Additive potentially good: cyclic of order
-    12 / gcd(v_p(delta), 12), always in {2, 3, 4, 6}; every model's
-    v_p(delta) is the minimal model's plus a multiple of 12.
+def _tame_rule(v_delta: int, v_c4: int | float) -> tuple[MonodromyGroup, str]:
+    """The tame rule (Serre-Tate) at p >= 5: (group, provenance) from the
+    _reduction_class of v_p(delta) and v_p(c4) (INFINITY when c4 = 0) of any
+    model. Good reduction: C1, good-reduction. Else tame-rule: multiplicative,
+    C1; additive potentially multiplicative, C2; additive potentially good,
+    cyclic of order 12 / gcd(v_p(delta), 12), always in {2, 3, 4, 6}; every
+    model's v_p(delta) is the minimal model's plus a multiple of 12.
     """
+    klass = _reduction_class(v_delta, v_c4)
     if klass in ("good", "multiplicative"):
-        return MonodromyGroup.C1
+        return MonodromyGroup.C1, "good-reduction" if klass == "good" else "tame-rule"
     if klass == "additive-potentially-multiplicative":
-        return MonodromyGroup.C2
+        return MonodromyGroup.C2, "tame-rule"
     e = 12 // math.gcd(v_delta, 12)
     if e not in (2, 3, 4, 6):
         raise TheoremViolationError(
             f"tame semistability defect {e} outside {{2,3,4,6}} "
             f"(v_p(delta) = {v_delta})"
         )
-    return _CYCLIC_BY_ORDER[e]
+    return _CYCLIC_BY_ORDER[e], "tame-rule"
 
 
 #: The family's tame rule at p >= 5, one (group, provenance) row per v_p(s)
-#: mod 6. The model y^2 = x^3 + s has v_p(delta) = 2 v_p(s) and c4 = 0, so its
-#: _reduction_class and _tame_group depend on 2 v_p(s) mod 12 alone: row w is
-#: taken from them at v_p(delta) = 2w, which also runs _tame_group's check on
-#: every case the family reaches. Row 0 is good reduction, C1; row w != 0 is
-#: the cyclic group of order 6 / gcd(w, 6), by the tame rule.
+#: mod 6. The model y^2 = x^3 + s has v_p(delta) = 2 v_p(s) and c4 = 0, so
+#: _tame_rule depends on 2 v_p(s) mod 12 alone: row w is _tame_rule at
+#: v_p(delta) = 2w, which also runs its check on every case the family
+#: reaches. Row 0 is good reduction, C1; row w != 0 is the cyclic group of
+#: order 6 / gcd(w, 6), by the tame rule.
 _FAMILY_TAME: tuple[tuple[MonodromyGroup, str], ...] = tuple(
-    (_tame_group(klass, 2 * w), "good-reduction" if klass == "good" else "tame-rule")
-    for w, klass in enumerate(_reduction_class(2 * w, INFINITY) for w in range(6))
+    _tame_rule(2 * w, INFINITY) for w in range(6)
 )
 
 
 def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     """Monodromy group at a tame prime p >= 5 of any model of the curve,
-    minimal or integral at p or not: _tame_result on its _tame_valuations."""
-    return _tame_result(p, *_tame_valuations(curve, p)).group
+    minimal or integral at p or not: _tame_rule on its _tame_valuations."""
+    return _tame_rule(*_tame_valuations(curve, p))[0]
 
 
 def bad_primes(s: Fraction) -> dict[int, int]:
@@ -274,15 +274,6 @@ def bad_primes(s: Fraction) -> dict[int, int]:
     return bad
 
 
-def _tame_result(p: int, v_delta: int, v_c4: int | float) -> LocalMonodromyResult:
-    """_tame_group at p >= 5 from v_p(delta) and v_p(c4) (INFINITY when c4 =
-    0) of any model, labelled by its _reduction_class: good-reduction only
-    for good reduction, else tame-rule."""
-    klass = _reduction_class(v_delta, v_c4)
-    provenance = "good-reduction" if klass == "good" else "tame-rule"
-    return LocalMonodromyResult(p, _tame_group(klass, v_delta), provenance)
-
-
 def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
     the v that bad_primes read): at 2 and 3 the result _family_ball returns,
@@ -294,29 +285,37 @@ def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
     return LocalMonodromyResult(p, group, provenance)
 
 
-def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
-    """Local monodromy of an arbitrary Weierstrass curve at p.
-
-    Every p outside FAMILY_TABLES goes to phi_tame, whatever the model. At 2
-    and 3 family-form curves take the family's tables; any other model is
-    resolved only when integral at p (else InvalidInputError) and of good
-    reduction there.
-    """
+def _phi_model(curve: WeierstrassCurve, p: int, v_delta: int) -> LocalMonodromyResult:
+    """Local monodromy at a prime p of any model, given v_delta = v_p(delta):
+    at p >= 5 the tame rule on v_delta and v_p(c4); at 2 and 3, for a model
+    not of family form and integral at p, good reduction when v_delta = 0,
+    else NotTabulatedError."""
     if p not in FAMILY_TABLES:
-        return _tame_result(p, *_tame_valuations(curve, p))
-    if curve.is_family_form():
-        return _phi_family(curve.a6, p, valuation(curve.a6, p))
-    if any(valuation(a, p) < 0 for a in curve.coefficients):
-        raise InvalidInputError(
-            f"curve is not integral at {p}; clear denominators first"
-        )
-    if valuation(curve.invariants.delta, p) == 0:
-        return LocalMonodromyResult(
-            p=p, group=MonodromyGroup.C1, provenance="good-reduction"
-        )
+        v_c4 = _prime_valuation(curve.invariants.c4, p)
+        return LocalMonodromyResult(p, *_tame_rule(v_delta, v_c4))
+    if v_delta == 0:
+        return LocalMonodromyResult(p, MonodromyGroup.C1, "good-reduction")
     raise NotTabulatedError(
         f"monodromy at {p} is tabulated only for family curves y^2 = x^3 + s"
     )
+
+
+def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
+    """Local monodromy of an arbitrary Weierstrass curve at p.
+
+    At 2 and 3 family-form curves take the family's tables, and any other
+    model must be integral at p (else InvalidInputError). Every other case
+    is _phi_model on v_p(delta), whose valuation refuses a p that is not
+    prime (InvalidInputError).
+    """
+    if p in FAMILY_TABLES:
+        if curve.is_family_form():
+            return _phi_family(curve.a6, p, valuation(curve.a6, p))
+        if any(a.denominator % p == 0 for a in curve.coefficients):
+            raise InvalidInputError(
+                f"curve is not integral at {p}; clear denominators first"
+            )
+    return _phi_model(curve, p, valuation(curve.invariants.delta, p))
 
 
 def _refusal(p: int, exc: NotTabulatedError) -> LocalMonodromyResult:
@@ -366,24 +365,20 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
     Family-form curves take family_report. Any other curve must have
     integral coefficients (else InvalidInputError); the primes dividing its
     discriminant are tried and those with trivial monodromy (good or
-    multiplicative reduction) are left out. Each is tested for primality
-    once, by factorize: 2 and 3 go to phi_general_curve, and every other p
-    to the tame rule that phi_general_curve would apply, on valuations read
-    with no second test.
+    multiplicative reduction) are left out. delta is then an integer, and
+    the exponents of its factorization are the v_p(delta) that _phi_model
+    takes: no prime is tested or counted again.
     """
     if curve.is_family_form():
         return family_report(curve.a6)
     if any(a.denominator != 1 for a in curve.coefficients):
         raise InvalidInputError("general mode requires an integral model")
     results = []
-    for p in factorize(curve.invariants.delta.numerator):
-        if p not in FAMILY_TABLES:
-            entry = _tame_result(p, *_tame_valuations(curve, p, prime_known=True))
-        else:
-            try:
-                entry = phi_general_curve(curve, p)
-            except NotTabulatedError as exc:
-                entry = _refusal(p, exc)
+    for p, v_delta in factorize(curve.invariants.delta.numerator).items():
+        try:
+            entry = _phi_model(curve, p, v_delta)
+        except NotTabulatedError as exc:
+            entry = _refusal(p, exc)
         if entry.group is not MonodromyGroup.C1:
             results.append(entry)
     return _degree_report(None, results)

@@ -353,7 +353,7 @@ class TestPhiTame:
 
     @pytest.mark.parametrize("p", [5, 7, 10007])
     def test_family_rows_match_closed_form(self, p):
-        # The route above runs _tame_group on both sides, so a wrong divisor
+        # The route above runs _tame_rule on both sides, so a wrong divisor
         # there passes it. Here the order is written out: v_p(delta) = 2v
         # gives 12 / gcd(2v, 12) = 6 / gcd(v, 6), and no entry when 6 | v.
         cyclic = {2: G.C2, 3: G.C3, 6: G.C6}
@@ -1063,6 +1063,27 @@ def trial_division(n: int) -> dict[int, int]:
     return factors
 
 
+def count_calls(monkeypatch, originals: dict) -> dict[str, int]:
+    """{name: calls}, counting from 0 the calls of each function of
+    originals through every semistab module that binds it under its name."""
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "semistab":
+            continue
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return calls
+
+
 class TestOneFactorizationRoutes:
     def _family_parameters(self):
         rng = random.Random(20250)
@@ -1136,6 +1157,30 @@ class TestOneFactorizationRoutes:
         assert phi_general_curve(curve, 6783164363).group is MonodromyGroup.C1
         assert calls == [6783164363]
 
+    def test_curve_command_computes_no_valuation(self, monkeypatch):
+        # curve --a on seeded short-form models reads v_p(delta) off the one
+        # factorization of delta: no valuation call, and no primality test
+        # beyond those factorize makes.
+        calls = count_calls(monkeypatch, {
+            "valuation": semistab.arith.valuation,
+            "is_prime": semistab.arith.is_prime,
+        })
+        rng = random.Random(7)
+        models = 0
+        while models < 200:
+            a4, a6 = rng.randint(-10**6, 10**6), rng.randint(-10**9, 10**9)
+            if not 4 * a4**3 + 27 * a6**2:
+                continue
+            models += 1
+            factorize(-16 * (4 * a4**3 + 27 * a6**2))
+            in_factorize, calls["is_prime"] = calls["is_prime"], 0
+            assert main(["curve", f"--a=0,0,0,{a4},{a6}", "--json"]) in (0, 3)
+            assert calls == {"valuation": 0, "is_prime": in_factorize}, (a4, a6)
+            calls["is_prime"] = 0
+        # the wrappers are in place: a p that a caller names is tested
+        semistab.arith.valuation(12, 5)
+        assert calls == {"valuation": 1, "is_prime": 1}
+
     def test_sweep_computes_no_valuation_and_no_cover(self, monkeypatch, tmp_path):
         # A sweep record's ball labels ride on family_report's results, read
         # with the v that bad_primes read: no valuation, cover or locate.
@@ -1144,21 +1189,7 @@ class TestOneFactorizationRoutes:
             "locate": semistab.cover.locate,
             "enumerate_cover": semistab.cover.enumerate_cover,
         }
-        calls = dict.fromkeys(originals, 0)
-
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return counted
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] != "semistab":
-                continue
-            for name, fn in originals.items():
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counting(name, fn))
+        calls = count_calls(monkeypatch, originals)
         out = str(tmp_path / "sweep.jsonl")
         assert main(["sweep", "--from", "700000", "--to", "700099", "--out", out]) == 0
         assert calls == dict.fromkeys(originals, 0)
@@ -1219,6 +1250,40 @@ class TestOneFactorizationRoutes:
             keys = sorted({2, 3} | {p for p, v in signed.items() if p >= 5 and v % 6})
             expected = [(p, signed.get(p, 0)) for p in keys]
             assert list(bad_primes(Fraction(num, den)).items()) == expected, (num, den)
+
+    def test_curve_report_matches_phi_general_curve(self):
+        # The two callers of the one per-prime rule for a model not of family
+        # form: curve_report, on the exponents of its factorization of delta,
+        # and phi_general_curve, on its own valuation. At every p | delta,
+        # 2 and 3 included, the whole entry agrees, provenance and refusal
+        # text too; C1 is left out of the report.
+        rng = random.Random(3800)
+        primes = {2: 0, 3: 0, 5: 0}
+        for n in range(400):
+            if n % 2:
+                a = random_long_form(rng, rng.choice((5, 7, 11, 13)))
+            else:
+                # short form when 4 | n, else small a1, a2, a3
+                head = [rng.randint(-3, 3) for _ in range(3)] if n % 4 else [0, 0, 0]
+                a = head + [rng.randint(-10**4, 10**4), rng.randint(-10**6, 10**6)]
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            if curve.is_family_form():
+                continue
+            report = curve_report(curve)
+            for p in factorize(curve.invariants.delta.numerator):
+                try:
+                    expected = phi_general_curve(curve, p)
+                except NotTabulatedError as exc:
+                    expected = LocalMonodromyResult(p, None, str(exc))
+                if expected.group is G.C1:
+                    assert report.local_at(p) is None, (a, p)
+                else:
+                    assert report.local_at(p) == expected, (a, p)
+                primes[min(p, 5)] += 1
+        assert min(primes.values()) > 50, primes
 
     def test_curve_report_matches_profile_route(self):
         rng = random.Random(1300)

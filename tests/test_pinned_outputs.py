@@ -67,6 +67,60 @@ CURVE_JSON = {
 }
 
 
+REFUSED_AT_2 = (
+    '{"group": null, "order": null, "p": 2, "provenance": "monodromy at 2 '
+    'is tabulated only for family curves y^2 = x^3 + s"}'
+)
+
+CURVE_GENERAL_JSON = {
+    # delta = -368 = -2^4 * 23: refused at 2, multiplicative (omitted) at 23.
+    "0,0,0,-1,1": (
+        3,
+        '{"bad_primes": [2], "degree": null, "delta": "-368", '
+        '"divides_minkowski": null, "monodromy": [' + REFUSED_AT_2 + '], '
+        '"s": null}',
+    ),
+    # delta = -459 = -3^3 * 17: refused at 3 only, multiplicative at 17.
+    "0,0,1,-6,-6": (
+        3,
+        '{"bad_primes": [3], "degree": null, "delta": "-459", '
+        '"divides_minkowski": null, "monodromy": [{"group": null, '
+        '"order": null, "p": 3, "provenance": "monodromy at 3 is tabulated '
+        'only for family curves y^2 = x^3 + s"}], "s": null}',
+    ),
+    # delta = 8000 = 2^6 * 5^3: C4 at 5 by the tame rule.
+    "0,0,0,-5,0": (
+        3,
+        '{"bad_primes": [2, 5], "degree": null, "delta": "8000", '
+        '"divides_minkowski": null, "monodromy": [' + REFUSED_AT_2 + ', '
+        '{"group": "C4", "order": 4, "p": 5, "provenance": "tame-rule"}], '
+        '"s": null}',
+    ),
+    # a long-form model, delta = -433, multiplicative at 433: degree 1.
+    "-1,0,0,0,1": (
+        0,
+        '{"bad_primes": [], "degree": 1, "delta": "-433", '
+        '"divides_minkowski": null, "monodromy": [], "s": null}',
+    ),
+    # The twist by 23 of y^2 = x^3 - x + 1: C2 at 23.
+    "0,0,0,-529,12167": (
+        3,
+        '{"bad_primes": [2, 23], "degree": null, "delta": "-54477207152", '
+        '"divides_minkowski": null, "monodromy": [' + REFUSED_AT_2 + ', '
+        '{"group": "C2", "order": 2, "p": 23, "provenance": "tame-rule"}], '
+        '"s": null}',
+    ),
+    # One step (x, y) -> (5^2 x, 5^3 y) above y^2 = x^3 + x + 1, which is
+    # good at 5: no entry there.
+    "0,0,0,625,15625": (
+        3,
+        '{"bad_primes": [2], "degree": null, "delta": "-121093750000", '
+        '"divides_minkowski": null, "monodromy": [' + REFUSED_AT_2 + '], '
+        '"s": null}',
+    ),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -78,16 +132,10 @@ def test_curve_family_json(capsys, s):
     assert (code, out) == (CURVE_JSON[s][0], CURVE_JSON[s][1] + "\n")
 
 
-def test_curve_general_json(capsys):
-    # delta = -368 = -2^4 * 23: refused at 2, multiplicative (omitted) at 23.
-    code, out = run(capsys, "curve", "--a", "0,0,0,-1,1", "--json")
-    assert code == 3
-    assert out == (
-        '{"bad_primes": [2], "degree": null, "delta": "-368", '
-        '"divides_minkowski": null, "monodromy": [{"group": null, '
-        '"order": null, "p": 2, "provenance": "monodromy at 2 is tabulated '
-        'only for family curves y^2 = x^3 + s"}], "s": null}\n'
-    )
+@pytest.mark.parametrize("a", list(CURVE_GENERAL_JSON))
+def test_curve_general_json(capsys, a):
+    code, out = run(capsys, "curve", f"--a={a}", "--json")
+    assert (code, out) == (CURVE_GENERAL_JSON[a][0], CURVE_GENERAL_JSON[a][1] + "\n")
 
 
 def test_sweep_jsonl_and_summary(capsys, tmp_path):
