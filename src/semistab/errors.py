@@ -27,11 +27,15 @@ class NotTabulatedError(SemistabError):
     """A valid input that no table or rule answers, refused rather than
     guessed; never a bug.
 
-    It marks a family parameter with v2(s) outside 0..2, the rows of the
-    2-adic table (every v3(s) is answered at 3); a curve outside the family
-    with bad reduction at 2 or 3; a `cover` or `locate` prime with no tables
-    (any p other than 2 and 3); and a `cover` valuation range past the
-    table's rows, or a `locate` valuation outside its report's range.
+    monodromy's one-answer functions raise it: phi_family_at_2 and
+    semistability_degree for v2(s) outside 0..2, the rows of the 2-adic table
+    (every v3(s) is answered at 3), and phi_general_curve for that and for a
+    curve outside the family with bad reduction at 2 or 3. family_report and
+    curve_report carry the same text as data: an entry with group None and
+    the text as provenance. cover raises it for an enumerate_cover or locate
+    prime with no tables (any p other than 2 and 3), an enumerate_cover
+    valuation range past the table's rows, or a locate valuation outside its
+    report's range.
     """
 
 

@@ -7,7 +7,7 @@ the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per stratum v_p(s): at 3 one closed
-rule over v mod 6, at 2 a row or a refusal (NotTabulatedError), no guess. The
+rule over v mod 6, at 2 a row or a refusal, no guess. The
 result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
 one lookup, _family_ball, returns the one of s, with its group and its p-adic
 ball, for the rules here and for the cover module's balls and locate. At
@@ -18,11 +18,11 @@ v_p(s) from the one factorization in bad_primes, and curve_report takes
 v_p(delta) from the one factorization of delta for _phi_model, the rule of
 any other model: one call per prime, and no valuation call of their own.
 
-This module is the one place that derives a curve's per-prime results:
-family_report and curve_report return every bad prime in prime order, a
-refused prime carried as data (group None, the refusal's text as its
-provenance), together with the lcm, which is checked to divide 24.
-semistability_degree is family_report that raises on the first refusal.
+This module is the one place that derives a curve's per-prime results. A rule
+that refuses a prime returns a result with group None and the refusal's text
+as its provenance; family_report and curve_report return every bad prime in
+prime order, refused ones too, with the lcm, checked to divide 24. Only the
+one-answer functions raise that text as NotTabulatedError (_answer).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class LocalMonodromyResult:
     p: int
     group: MonodromyGroup | None
     # family-table-2 | family-table-3 | tame-rule | good-reduction, or the
-    # NotTabulatedError text when group is None
+    # refusal's text when group is None
     provenance: str
     # (center, k): the ball center + p^k Z_p of s a family table read, else None
     ball: tuple[int, int] | None = None
@@ -171,8 +171,8 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
     _FAMILY_RESULTS entry of the ball center + p^k Z_p of s, with that ball
     as its .ball = (center, k) and its group. Row v = (d, groups) of
     FAMILY_TABLES has k = v + d and center s mod p^k = p^v * (u mod p^d), so
-    u is never built. At 2 a v without a row is refused; at 3 another v reads
-    row w = v mod 6 for the same curve s * 3^(w - v); s's ball, None for v < 0.
+    u is never built. At 2 a v without a row is refused (group None); at 3
+    another v reads row w = v mod 6 for s * 3^(w - v); s's ball, None if v < 0.
     """
     rows = _FAMILY_RESULTS[p]
     if 0 <= v < len(rows):
@@ -181,8 +181,8 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
             raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
         return result
     if p == 2:
-        raise NotTabulatedError(
-            f"v2(s) = {v} outside tabulated range 0..{len(rows) - 1}"
+        return LocalMonodromyResult(
+            2, None, f"v2(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
     w = v % 6
     group = _family_ball(3, s * Fraction(3) ** (w - v), w).group
@@ -204,10 +204,10 @@ def phi_family_at_2(s: Rational) -> MonodromyGroup:
     """Monodromy group at 2 of y^2 = x^3 + s, for v2(s) in {0, 1, 2}.
 
     v2(s) = 0: C3 when s = 1 mod 4, else C6. v2(s) = 1: C2. v2(s) = 2:
-    C3 when s/4 = -1 mod 4, else SL2(F3).
+    C3 when s/4 = -1 mod 4, else SL2(F3). Other v2(s): NotTabulatedError.
     """
     s = _nonzero_parameter(s)
-    return _family_ball(2, s, valuation(s, 2)).group
+    return _answer(_family_ball(2, s, valuation(s, 2))).group
 
 
 def _tame_rule(v_delta: int, v_c4: int | float) -> tuple[MonodromyGroup, str]:
@@ -289,39 +289,40 @@ def _phi_model(curve: WeierstrassCurve, p: int, v_delta: int) -> LocalMonodromyR
     """Local monodromy at a prime p of any model, given v_delta = v_p(delta):
     at p >= 5 the tame rule on v_delta and v_p(c4); at 2 and 3, for a model
     not of family form and integral at p, good reduction when v_delta = 0,
-    else NotTabulatedError."""
+    else a refusal (group None)."""
     if p not in FAMILY_TABLES:
         v_c4 = _prime_valuation(curve.invariants.c4, p)
         return LocalMonodromyResult(p, *_tame_rule(v_delta, v_c4))
     if v_delta == 0:
         return LocalMonodromyResult(p, MonodromyGroup.C1, "good-reduction")
-    raise NotTabulatedError(
-        f"monodromy at {p} is tabulated only for family curves y^2 = x^3 + s"
+    return LocalMonodromyResult(
+        p, None, f"monodromy at {p} is tabulated only for family curves y^2 = x^3 + s"
     )
+
+
+def _answer(result: LocalMonodromyResult) -> LocalMonodromyResult:
+    """result, for the functions that return one answer; a refusal (group
+    None) raises NotTabulatedError with its provenance as the text."""
+    if result.group is None:
+        raise NotTabulatedError(result.provenance)
+    return result
 
 
 def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     """Local monodromy of an arbitrary Weierstrass curve at p.
 
-    At 2 and 3 family-form curves take the family's tables, and any other
-    model must be integral at p (else InvalidInputError). Every other case
-    is _phi_model on v_p(delta), whose valuation refuses a p that is not
-    prime (InvalidInputError).
+    A family-form curve takes _phi_family on v_p(s) at every p, as
+    family_report does; any other model takes _phi_model on v_p(delta) and
+    must be integral at p = 2 or 3 (else InvalidInputError). A p that is not
+    prime is InvalidInputError, a refusal NotTabulatedError.
     """
-    if p in FAMILY_TABLES:
-        if curve.is_family_form():
-            return _phi_family(curve.a6, p, valuation(curve.a6, p))
-        if any(a.denominator % p == 0 for a in curve.coefficients):
-            raise InvalidInputError(
-                f"curve is not integral at {p}; clear denominators first"
-            )
-    return _phi_model(curve, p, valuation(curve.invariants.delta, p))
-
-
-def _refusal(p: int, exc: NotTabulatedError) -> LocalMonodromyResult:
-    """The refusal of p carried as data: group None, exc's text as its
-    provenance."""
-    return LocalMonodromyResult(p=p, group=None, provenance=str(exc))
+    if curve.is_family_form():
+        return _answer(_phi_family(curve.a6, p, valuation(curve.a6, p)))
+    if p in FAMILY_TABLES and any(a.denominator % p == 0 for a in curve.coefficients):
+        raise InvalidInputError(
+            f"curve is not integral at {p}; clear denominators first"
+        )
+    return _answer(_phi_model(curve, p, valuation(curve.invariants.delta, p)))
 
 
 def _degree_report(
@@ -346,16 +347,12 @@ def family_report(s: Rational) -> DegreeReport:
     """Local monodromy of y^2 = x^3 + s at every bad prime, and d(E_s).
 
     One _phi_family call per prime that bad_primes returns, on the v_p(s) it
-    read. Primes outside the tabulated ranges are refused as data (_refusal);
-    the degree is then None.
+    read. A refused prime is an entry with group None; the degree is then None.
     """
     s = _nonzero_parameter(s)
     locals_ = []
     for p, v in bad_primes(s).items():
-        try:
-            locals_.append(_phi_family(s, p, v))
-        except NotTabulatedError as exc:
-            locals_.append(_refusal(p, exc))
+        locals_.append(_phi_family(s, p, v))
     return _degree_report(s, locals_)
 
 
@@ -367,7 +364,7 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
     discriminant are tried and those with trivial monodromy (good or
     multiplicative reduction) are left out. delta is then an integer, and
     the exponents of its factorization are the v_p(delta) that _phi_model
-    takes: no prime is tested or counted again.
+    takes: no prime is tested or counted again. A refused prime has group None.
     """
     if curve.is_family_form():
         return family_report(curve.a6)
@@ -375,10 +372,7 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
         raise InvalidInputError("general mode requires an integral model")
     results = []
     for p, v_delta in factorize(curve.invariants.delta.numerator).items():
-        try:
-            entry = _phi_model(curve, p, v_delta)
-        except NotTabulatedError as exc:
-            entry = _refusal(p, exc)
+        entry = _phi_model(curve, p, v_delta)
         if entry.group is not MonodromyGroup.C1:
             results.append(entry)
     return _degree_report(None, results)
@@ -387,12 +381,11 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
 def semistability_degree(s: Rational) -> DegreeReport:
     """d(E_s) = lcm over bad primes of the local monodromy orders.
 
-    Requires v2(s) in {0,1,2}: otherwise raises NotTabulatedError with the
-    refusal's reason. Every v3(s) is answered. The result always divides
-    24, and this is checked.
+    family_report(s), which requires v2(s) in {0,1,2}: its first refused entry
+    raises NotTabulatedError with the entry's provenance as the text. Every
+    v3(s) is answered. The result always divides 24, and this is checked.
     """
     report = family_report(s)
     for entry in report.locals:
-        if entry.group is None:
-            raise NotTabulatedError(entry.provenance)
+        _answer(entry)
     return report

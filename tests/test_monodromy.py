@@ -548,6 +548,43 @@ class TestReports:
             semistability_degree(1944)
         assert str(exc.value) == family_report(1944).local_at(2).provenance
 
+    def test_reports_build_no_exception(self, monkeypatch):
+        # A refusal is a value from the rule that refuses: the reports carry
+        # it as an entry and construct no NotTabulatedError; only the
+        # one-answer functions raise one.
+        made = []
+
+        class Counted(NotTabulatedError):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("semistab.monodromy.NotTabulatedError", Counted)
+        refused = [
+            s for s in range(700_000, 700_100)
+            if family_report(s).local_at(2).group is None
+        ]
+        assert len(refused) == 13
+        rng = random.Random(4000)
+        at = {2: 0, 3: 0}
+        while min(at.values()) < 30:
+            a = [rng.randint(-3, 3) for _ in range(3)]
+            a += [rng.randint(-10**4, 10**4), rng.randint(-10**6, 10**6)]
+            try:
+                curve = WeierstrassCurve(*a)
+            except SingularCurveError:
+                continue
+            if curve.is_family_form():
+                continue
+            for entry in curve_report(curve).locals:
+                if entry.group is None:
+                    at[entry.p] += 1
+        assert made == []
+        # the patch is in place: a one-answer function constructs one
+        with pytest.raises(Counted):
+            semistability_degree(refused[0])
+        assert len(made) == 1
+
     def test_curve_report_omits_trivial_primes(self):
         # delta = -368 = -2^4 * 23: refused at 2, multiplicative at 23.
         report = curve_report(WeierstrassCurve(0, 0, 0, -1, 1))
@@ -579,19 +616,36 @@ class TestPhiGeneralCurve:
         assert result.provenance == "family-table-3"
         result2 = phi_general_curve(family_curve(4), 2)
         assert result2.group is phi_family_at_2(4)
-        # At p >= 5 a family curve goes to phi_tame like any model, and must
-        # give family_report's entry at p, or C1 where the report has none.
-        for p in (5, 7, 11):
+        # A family curve takes the family's rules at every p, whichever entry
+        # point is asked: phi_general_curve gives family_report's entry at p,
+        # or C1 where the report has none. Where that entry is a refusal,
+        # each one-answer function raises it, with its provenance as text.
+        refused = 0
+        for p in (2, 3, 5, 7, 11):
             for v in range(-12, 13):
                 for u in (1, -2, 3, Fraction(-17, 4)):
                     s = u * Fraction(p) ** v
-                    result = phi_general_curve(family_curve(s), p)
+                    curve = family_curve(s)
                     entry = family_report(s).local_at(p)
                     if entry is None:
+                        result = phi_general_curve(curve, p)
                         assert result.group is G.C1, (s, p)
                         assert result.provenance == "good-reduction", (s, p)
+                    elif entry.group is not None:
+                        assert phi_general_curve(curve, p) == entry, (s, p)
                     else:
-                        assert result == entry, (s, p)
+                        assert p == 2, s  # the rule at 3 answers every v3(s)
+                        refused += 1
+                        for call in (
+                            lambda: phi_general_curve(curve, p),
+                            lambda: phi_family_at_2(s),
+                            lambda: semistability_degree(s),
+                        ):
+                            with pytest.raises(NotTabulatedError) as exc:
+                                call()
+                            assert str(exc.value) == entry.provenance, s
+        # each u has 22 of its 25 v2(s) outside 0..2
+        assert refused == 4 * (25 - 3), refused
 
     def test_non_family_bad_at_2_refused(self):
         curve = WeierstrassCurve(0, 0, 0, -1, 0)  # delta = 64
