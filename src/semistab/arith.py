@@ -189,8 +189,9 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     Trial division runs over the primes below 10^4 in blocks of 32: a block
-    whose product is coprime to what is left is skipped after one gcd, and
-    the others are divided one prime at a time. It stops at the first block
+    whose product is coprime to what is left is skipped after one gcd g, and
+    the others are divided only by the primes of g, stopping at the last of
+    them, the block's last dividing prime. It stops at the first block
     whose first prime p has p^2 above what is left, which is then 1 or a
     prime, as is a rest below 10^8 once every block is done. Pollard rho
     with Brent's cycle finding and batched gcds splits a larger rest, and
@@ -208,15 +209,19 @@ def factorize(n: int) -> dict[int, int]:
     for product, block in _trial_blocks():
         if block[0] * block[0] > n:
             break
-        if math.gcd(n, product) == 1:
+        g = math.gcd(n, product)
+        if g == 1:
             continue
         for p in block:
-            if n % p == 0:
+            if g % p == 0:
                 e = 0
                 while n % p == 0:
                     n //= p
                     e += 1
                 factors[p] = e
+                g //= p
+                if g == 1:
+                    break
     else:
         if n >= _TRIAL_BOUND * _TRIAL_BOUND:
             budget = RHO_BUDGET

@@ -23,14 +23,19 @@ that refuses a prime returns a result with group None and the refusal's text
 as its provenance; family_report and curve_report return every bad prime in
 prime order, refused ones too, with the lcm, checked to divide 24. Only the
 one-answer functions raise that text as NotTabulatedError (_answer).
+
+The results and reports are immutable tuple records (LocalMonodromyResult,
+DegreeReport), cheap to build once per prime of every sweep record. An int s
+stays an int on the family route (_nonzero_parameter); any other s becomes a
+Fraction. The rules read only its .numerator and .denominator.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import INFINITY, Rational, _prime_valuation, factorize, residue, valuation
 from .curves import WeierstrassCurve, _reduction_class, _tame_valuations
@@ -91,10 +96,7 @@ FAMILY_TABLES: dict[int, tuple[tuple[int, dict[int, MonodromyGroup]], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class LocalMonodromyResult:
-    """The monodromy group at p, or None when the tables refuse p."""
-
+class _LocalFields(NamedTuple):
     p: int
     group: MonodromyGroup | None
     # family-table-2 | family-table-3 | tame-rule | good-reduction, or the
@@ -103,11 +105,25 @@ class LocalMonodromyResult:
     # (center, k): the ball center + p^k Z_p of s a family table read, else None
     ball: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.group is None:
-            return
-        p, provenance = self.p, self.provenance
-        if not (
+
+class LocalMonodromyResult(_LocalFields):
+    """The monodromy group at p, or None when the tables refuse p.
+
+    An immutable tuple record (p, group, provenance, ball): its repr, == and
+    hash are those of its fields. A result with a group must carry a
+    provenance that holds at p, else TheoremViolationError.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p: int,
+        group: MonodromyGroup | None,
+        provenance: str,
+        ball: tuple[int, int] | None = None,
+    ) -> LocalMonodromyResult:
+        if group is not None and not (
             provenance == "tame-rule" and p >= 5
             or provenance == "good-reduction"
             or p in (2, 3) and provenance == f"family-table-{p}"
@@ -115,6 +131,13 @@ class LocalMonodromyResult:
             raise TheoremViolationError(
                 f"provenance {provenance} inconsistent with p={p}"
             )
+        return tuple.__new__(cls, (p, group, provenance, ball))
+
+    @classmethod
+    def _make(cls, iterable) -> LocalMonodromyResult:
+        """The result of the fields in iterable, checked as in __new__; the
+        tuple's _replace builds its copy here."""
+        return cls(*iterable)
 
 
 #: The result of every ball of FAMILY_TABLES, built once from the rows: row v
@@ -139,15 +162,15 @@ _FAMILY_RESULTS: dict[
 }
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Local data of one curve at its bad primes, in prime order, and d(E).
+class DegreeReport(NamedTuple):
+    """Local data of one curve at its bad primes, in prime order, and d(E):
+    an immutable tuple record (s, locals, degree).
 
-    s is the family parameter, None for a curve outside the family. degree
-    is None when some prime is refused.
+    s is the family parameter, the int given or else a Fraction of it, None
+    for a curve outside the family. degree is None when some prime is refused.
     """
 
-    s: Fraction | None
+    s: int | Fraction | None
     locals: tuple[LocalMonodromyResult, ...]
     degree: int | None
 
@@ -158,10 +181,13 @@ class DegreeReport:
         return None
 
 
-def _nonzero_parameter(s: Rational) -> Fraction:
-    """s as a Fraction; SingularCurveError when s = 0, a singular cubic (the
-    Fraction's numerator 0, so "0" and 0.0 are refused as 0 is)."""
-    if not (s := Fraction(s)).numerator:
+def _nonzero_parameter(s: Rational) -> Rational:
+    """s itself when it is an int, else s as a Fraction; SingularCurveError
+    when s = 0, a singular cubic ("0", 0.0 and Fraction(0) are refused as 0
+    is). Either has .numerator and .denominator, which is all the rules read."""
+    if type(s) is not int:
+        s = Fraction(s)
+    if not s:
         raise SingularCurveError("s = 0")
     return s
 
@@ -249,7 +275,7 @@ def phi_tame(curve: WeierstrassCurve, p: int) -> MonodromyGroup:
     return _tame_rule(*_tame_valuations(curve, p))[0]
 
 
-def bad_primes(s: Fraction) -> dict[int, int]:
+def bad_primes(s: Rational) -> dict[int, int]:
     """Primes of bad reduction of the minimal model of y^2 = x^3 + s, in
     prime order, each mapped to v_p(s).
 
@@ -274,7 +300,7 @@ def bad_primes(s: Fraction) -> dict[int, int]:
     return bad
 
 
-def _phi_family(s: Fraction, p: int, v: int) -> LocalMonodromyResult:
+def _phi_family(s: Rational, p: int, v: int) -> LocalMonodromyResult:
     """Local monodromy of y^2 = x^3 + s at p, given v = v_p(s) (in family_report
     the v that bad_primes read): at 2 and 3 the result _family_ball returns,
     built once per ball, else the group and provenance of the _FAMILY_TAME
@@ -326,7 +352,7 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
 
 
 def _degree_report(
-    s: Fraction | None, locals_: list[LocalMonodromyResult]
+    s: Rational | None, locals_: list[LocalMonodromyResult]
 ) -> DegreeReport:
     """Attach d(E), the lcm of the local orders (1 for no entry), in one pass:
     degree None at the first refused prime, else the lcm, which must divide
@@ -334,13 +360,13 @@ def _degree_report(
     degree = 1
     for entry in locals_:
         if entry.group is None:
-            return DegreeReport(s=s, locals=tuple(locals_), degree=None)
+            return DegreeReport(s, tuple(locals_), None)
         degree = math.lcm(degree, entry.group.order)
     if 24 % degree != 0:
         raise TheoremViolationError(
             f"degree {degree} does not divide the g=1 bound 24 (s = {s})"
         )
-    return DegreeReport(s=s, locals=tuple(locals_), degree=degree)
+    return DegreeReport(s, tuple(locals_), degree)
 
 
 def family_report(s: Rational) -> DegreeReport:

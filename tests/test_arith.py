@@ -116,6 +116,53 @@ class TestTrialDivisionEdges:
             assert factorize(q * q * 10007) == {q: 2, 10007: 1}
 
 
+#: The first 64 primes: factorize's first two trial-division blocks of 32,
+#: whose last primes are 131 and 311.
+FIRST_PRIMES = [n for n in range(2, 312) if _is_prime_by_trial_division(n)]
+
+#: A 60-bit prime, the largest below 2^60 (2^60 - 93, from the tables of
+#: primes just below powers of two).
+PRIME_60_BITS = 2**60 - 93
+
+
+class TestTrialDivisionEarlyExit:
+    """factorize divides a block only by the primes of its gcd with n and
+    leaves the block at the last of them: every prime of a block, the last
+    one above all, must still be divided out, to its full power."""
+
+    def test_blocks_are_as_named(self):
+        assert len(FIRST_PRIMES) == 64
+        assert (FIRST_PRIMES[31], FIRST_PRIMES[63]) == (131, 311)
+        assert PRIME_60_BITS.bit_length() == 60
+
+    def test_matches_trial_division_up_to_100000(self):
+        for n in range(1, 100_001):
+            assert factorize(n) == factorize_oracle(n), n
+
+    def test_products_with_the_last_prime_of_a_block(self):
+        rng = random.Random(4101)
+        for last in (131, 311):
+            for _ in range(300):
+                primes = [last] + rng.sample(FIRST_PRIMES, rng.randrange(0, 5))
+                n = math.prod(p ** rng.randrange(1, 4) for p in set(primes))
+                n *= rng.choice((1, 10007, 99991, PRIME_60_BITS))
+                got = factorize(n)
+                expected = factorize_oracle(n // math.gcd(n, PRIME_60_BITS))
+                if n % PRIME_60_BITS == 0:
+                    expected[PRIME_60_BITS] = 1
+                assert got == expected, n
+                assert list(got) == sorted(got), n
+
+    def test_powers_and_the_whole_first_block(self):
+        for p in FIRST_PRIMES[:32]:
+            for k in range(1, 12):
+                assert factorize(p**k) == {p: k}
+        block = math.prod(FIRST_PRIMES[:32])
+        assert factorize(block) == dict.fromkeys(FIRST_PRIMES[:32], 1)
+        assert factorize(block * PRIME_60_BITS) == {
+            **dict.fromkeys(FIRST_PRIMES[:32], 1), PRIME_60_BITS: 1,
+        }
+
 def _seeded_primes(count: int, seed: int) -> list[int]:
     """Distinct primes in (10^4, 10^9), drawn from random.Random(seed) and
     checked by trial division, so that rho, not the trial-division table,

@@ -22,6 +22,7 @@ from semistab.monodromy import (
     phi_family_at_2,
     phi_family_at_3,
 )
+from conftest import answer_or_refusal, as_each_type, integer_parameters
 
 G = MonodromyGroup
 
@@ -329,6 +330,19 @@ class TestLocate:
         with pytest.raises(NotTabulatedError):
             locate(Fraction(1, 3), reports[3])
 
+    def test_same_ball_for_every_type(self, reports):
+        for s in integer_parameters(4142):
+            for report in reports.values():
+                outcomes = [
+                    answer_or_refusal(locate, x, report) for x in as_each_type(s)
+                ]
+                assert all(o == outcomes[0] for o in outcomes), (report.p, s)
+
+    def test_zero_of_every_type_is_singular(self, reports):
+        for zero in as_each_type(0):
+            for report in reports.values():
+                with pytest.raises(SingularCurveError, match="^s = 0$"):
+                    locate(zero, report)
 
 # FAMILY_TABLES written out again, (p, v) -> (d, {u: group label}): the ball
 # u * p^v + p^(v + d) Z_p of the stratum v_p(s) = v has that group.

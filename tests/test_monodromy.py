@@ -40,7 +40,12 @@ from semistab.monodromy import (
     phi_tame,
     semistability_degree,
 )
-from conftest import TAME_PRIME_POOL
+from conftest import (
+    TAME_PRIME_POOL,
+    answer_or_refusal,
+    as_each_type,
+    integer_parameters,
+)
 from curve_oracles import (
     RAMIFIED_TWIST,
     count_points,
@@ -521,6 +526,109 @@ class TestProvenanceCheck:
             for provenance in PROVENANCE_ACCEPTED
             for p in PROVENANCE_PRIMES
         )
+
+
+class TestRecordContract:
+    """The two per-record types as callers see them: repr, hash, equality
+    and immutability, with the values of the frozen-dataclass records."""
+
+    TAME = LocalMonodromyResult(7, G.C6, "tame-rule")
+    TABLE = LocalMonodromyResult(3, G.DIC3, "family-table-3", (5, 2))
+    REFUSAL = LocalMonodromyResult(2, None, "v2(s) = 3 outside tabulated range 0..2")
+
+    def test_result_reprs(self):
+        assert repr(self.TAME) == (
+            "LocalMonodromyResult(p=7, group=<MonodromyGroup.C6: ('C6', 6)>, "
+            "provenance='tame-rule', ball=None)"
+        )
+        assert repr(self.TABLE) == (
+            "LocalMonodromyResult(p=3, group=<MonodromyGroup.DIC3: ('Dic3', 12)>, "
+            "provenance='family-table-3', ball=(5, 2))"
+        )
+        assert repr(self.REFUSAL) == (
+            "LocalMonodromyResult(p=2, group=None, "
+            "provenance='v2(s) = 3 outside tabulated range 0..2', ball=None)"
+        )
+
+    def test_report_repr(self):
+        assert repr(family_report(Fraction(-7, 25))) == (
+            "DegreeReport(s=Fraction(-7, 25), locals=("
+            "LocalMonodromyResult(p=2, group=<MonodromyGroup.C3: ('C3', 3)>, "
+            "provenance='family-table-2', ball=(1, 2)), "
+            "LocalMonodromyResult(p=3, group=<MonodromyGroup.C4: ('C4', 4)>, "
+            "provenance='family-table-3', ball=(8, 2)), "
+            "LocalMonodromyResult(p=5, group=<MonodromyGroup.C3: ('C3', 3)>, "
+            "provenance='tame-rule', ball=None), "
+            "LocalMonodromyResult(p=7, group=<MonodromyGroup.C6: ('C6', 6)>, "
+            "provenance='tame-rule', ball=None)), degree=12)"
+        )
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for r in (self.TAME, self.TABLE, self.REFUSAL):
+            assert hash(r) == hash((r.p, r.group, r.provenance, r.ball))
+
+    def test_fields_are_read_only(self):
+        # FrozenInstanceError is an AttributeError.
+        report = family_report(12)
+        for record, field in (
+            (self.TAME, "group"), (self.TABLE, "ball"), (self.REFUSAL, "provenance"),
+            (report, "degree"), (report, "s"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_equal_fields_compare_equal(self):
+        assert LocalMonodromyResult(3, G.DIC3, "family-table-3", (5, 2)) == self.TABLE
+        assert LocalMonodromyResult(7, G.C6, "tame-rule", None) == self.TAME
+        assert LocalMonodromyResult(7, G.C6, "tame-rule") != self.TABLE
+        assert family_report(Fraction(-7, 25)) == family_report(Fraction(-7, 25))
+        assert family_report(12).local_at(3) == LocalMonodromyResult(
+            3, G.DIC3, "family-table-3", (3, 2)
+        )
+        assert family_report(12).local_at(5) is None
+
+    def test_a_copy_is_checked_as_a_new_result(self):
+        assert self.TABLE._replace(ball=(5, 2)) == self.TABLE
+        assert self.TAME._replace(p=11) == LocalMonodromyResult(11, G.C6, "tame-rule")
+        with pytest.raises(TheoremViolationError, match="inconsistent with p=2"):
+            self.TABLE._replace(p=2)
+        with pytest.raises(TheoremViolationError, match="inconsistent with p=3"):
+            LocalMonodromyResult._make((3, G.C2, "tame-rule", None))
+
+
+class TestParameterType:
+    """An int, a Fraction, a str and an integral float name the same s and
+    get the same answers, with the same str(report.s)."""
+
+    def test_same_answers_for_every_type(self):
+        for s in integer_parameters(4141):
+            reports = [family_report(x) for x in as_each_type(s)]
+            assert all(report == reports[0] for report in reports), s
+            assert {str(report.s) for report in reports} == {str(s)}
+            for fn in (semistability_degree, phi_family_at_2, phi_family_at_3):
+                outcomes = [answer_or_refusal(fn, x) for x in as_each_type(s)]
+                assert all(o == outcomes[0] for o in outcomes), (fn, s)
+
+    def test_an_int_stays_an_int(self):
+        assert type(family_report(12).s) is int
+        assert repr(family_report(12)).startswith("DegreeReport(s=12, ")
+        for x in (Fraction(12), "12", 12.0, True):
+            assert type(family_report(x).s) is Fraction, x
+
+    def test_the_seeds_reach_every_case(self):
+        values = integer_parameters(4141)
+        assert any(s < 0 for s in values)
+        assert any(s % 3 == 0 for s in values)
+        assert any(family_report(s).degree is None for s in values)
+        assert any(family_report(s).degree is not None for s in values)
+
+    @pytest.mark.parametrize("fn", [
+        family_report, semistability_degree, phi_family_at_2, phi_family_at_3,
+    ])
+    def test_zero_of_every_type_is_singular(self, fn):
+        for zero in as_each_type(0):
+            with pytest.raises(SingularCurveError, match="^s = 0$"):
+                fn(zero)
 
 
 class TestReports:
