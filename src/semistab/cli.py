@@ -12,9 +12,11 @@ The per-prime monodromy and the degree come from monodromy.family_report and
 monodromy.curve_report; this module only serializes them, `sweep`'s ball
 labels at 2 and 3 too (the balls on those results). `curve` prints a dict
 through json.dumps; `sweep` formats each record's line straight from its
-report, in the bytes json.dumps would give it, each entry with a group from
-a fragment built once per (group, provenance). `sweep` computes its
-records serially: --threads is accepted and has no effect.
+report, in the bytes json.dumps would give it. A result that monodromy
+builds once per table ball at 2 and 3 has its ball label and its entry
+looked up, in fragments built once per ball at import; any other entry with
+a group comes from a fragment built once per (group, provenance). `sweep`
+computes its records serially: --threads is accepted and has no effect.
 
 main parses the command that argv names (argv[0], or argv[1] after an
 exact --plain) with one parser of its own, which reads the tokens after the
@@ -62,7 +64,7 @@ from .minkowski import (
     to_scientific,
 )
 from .monodromy import (
-    FAMILY_TABLES,
+    _FAMILY_RESULTS,
     LocalMonodromyResult,
     MonodromyGroup,
     curve_report,
@@ -90,10 +92,12 @@ _SINGULAR_LINE = (
     '{"ball_ids": null, "degree": null, "locals": [], "note": "singular", "s": "0"}\n'
 )
 
-# sweep_record's entry with a group, as a format string of its prime p: one
-# per (group label, provenance) that LocalMonodromyResult admits with a
-# group, so 7 x 4 keys, each `fmt % p` the bytes json.dumps gives local_data.
-# Keyed by the label, a str, because an Enum member hashes in Python code.
+# An entry with a group, as a format string of its prime p: one per (group
+# label, provenance) that LocalMonodromyResult admits with a group, so 7 x 4
+# keys, each `fmt % p` the bytes json.dumps gives local_data. sweep_record
+# formats a tame prime's entry with it, and _TABLE_FRAGMENTS a table
+# result's once. Keyed by the label, a str, because an Enum member hashes in
+# Python code.
 _ENTRY_FORMATS = {
     (group.label, provenance): (
         '{"group": %s, "order": %d, "p": %%d, "provenance": %s}'
@@ -103,6 +107,24 @@ _ENTRY_FORMATS = {
     for provenance in (
         "family-table-2", "family-table-3", "tame-rule", "good-reduction"
     )
+}
+
+# sweep_record's two fragments of each result that monodromy builds once per
+# table ball at 2 and 3 (_FAMILY_RESULTS): per p, the result's ball maps to
+# (result, its ball_ids item, its entry under "locals"). sweep_record takes
+# them only for the result itself (`is`): a twisted ball at 3, built per
+# call, and a refusal at 2 are formatted per record. 5 balls at 2, 20 at 3.
+_TABLE_FRAGMENTS = {
+    p: {
+        result.ball: (
+            result,
+            '"%d": "%s"' % (p, _ball_label(p, *result.ball)),
+            _ENTRY_FORMATS[result.group.label, result.provenance] % p,
+        )
+        for _, results in rows
+        for result in results.values()
+    }
+    for p, rows in _FAMILY_RESULTS.items()
 }
 
 
@@ -271,12 +293,15 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     The line is formatted from the report, with no record dict: its keys in
     sorted order, ints by %d and None as null, so it is the bytes of
     json.dumps(record, sort_keys=True) for the record of the README. Its
-    entries under "locals" have the shape local_data gives `curve`: one with
-    a group is its _ENTRY_FORMATS fragment % p, a refusal's free-form text
-    goes through the escaper that json.dumps uses. ball_ids labels the ball
-    of s at 2 and 3 that the group was read off (digits, '+' and '^', which
-    need no escaping), null where that prime is refused. TestSweep's byte
-    test checks both."""
+    entries under "locals" have the shape local_data gives `curve`. ball_ids
+    labels the ball of s at 2 and 3 that the group was read off (digits, '+'
+    and '^', which need no escaping), null where that prime is refused. An
+    entry that is the result of a table ball, the one _FAMILY_RESULTS
+    built, takes its ball_ids item and its entry from _TABLE_FRAGMENTS; any
+    other is formatted here: one with a group, at a tame prime or a twisted
+    ball at 3, is its _ENTRY_FORMATS fragment % p, and a refusal's
+    free-form text goes through the escaper that json.dumps uses.
+    TestSweep's byte tests check every branch."""
     if s == 0:
         return _SINGULAR_LINE, None
     report = family_report(s)
@@ -284,12 +309,18 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     balls = []
     entries = []
     for entry in report.locals:
-        p, group = entry.p, entry.group
-        if p in FAMILY_TABLES:
+        p = entry.p
+        if p in _TABLE_FRAGMENTS:
             ball = entry.ball
+            known = _TABLE_FRAGMENTS[p].get(ball)
+            if known is not None and known[0] is entry:
+                balls.append(known[1])
+                entries.append(known[2])
+                continue
             balls.append(
                 '"%d": "%s"' % (p, _ball_label(p, *ball)) if ball else '"%d": null' % p
             )
+        group = entry.group
         if group is None:
             entries.append(
                 '{"group": null, "order": null, "p": %d, "provenance": %s}'

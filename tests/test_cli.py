@@ -372,6 +372,33 @@ class TestMissingUnitClass:
         assert err.startswith("internal error: ")
 
 
+def oracle_local(entry):
+    """One entry of a sweep record's "locals", without the cli's code."""
+    return {
+        "p": entry.p,
+        "group": None if entry.group is None else entry.group.label,
+        "order": None if entry.group is None else entry.group.order,
+        "provenance": entry.provenance,
+    }
+
+
+def oracle_ball_id(entry):
+    """A sweep record's "ball_ids" value at entry.p in {2, 3}, without the
+    cli's code: the label center+p^k of the entry's ball, None without one."""
+    if entry.ball is None:
+        return None
+    return f"{entry.ball[0]}+{entry.p}^{entry.ball[1]}"
+
+
+def table_results(p):
+    """The results that monodromy builds once per table ball at p."""
+    return [
+        result
+        for _, row in semistab.monodromy._FAMILY_RESULTS[p]
+        for result in row.values()
+    ]
+
+
 def sweep_oracle(s, report):
     """The README's sweep record of s as a dict, built from report =
     family_report(s) (None for s = 0) without the cli's code."""
@@ -383,18 +410,9 @@ def sweep_oracle(s, report):
     record = {
         "s": str(s),
         "degree": report.degree,
-        "locals": [
-            {
-                "p": entry.p,
-                "group": None if entry.group is None else entry.group.label,
-                "order": None if entry.group is None else entry.group.order,
-                "provenance": entry.provenance,
-            }
-            for entry in report.locals
-        ],
+        "locals": [oracle_local(entry) for entry in report.locals],
         "ball_ids": {
-            str(entry.p): None if entry.ball is None
-            else f"{entry.ball[0]}+{entry.p}^{entry.ball[1]}"
+            str(entry.p): oracle_ball_id(entry)
             for entry in report.locals
             if entry.p in (2, 3)
         },
@@ -498,6 +516,56 @@ class TestSweep:
             for p in (2, 3, 5, 10**40 + 1):
                 entry = SimpleNamespace(p=p, group=groups[label], provenance=provenance)
                 assert fmt % p == json.dumps(local_data(entry), sort_keys=True)
+
+    def test_table_fragments_are_json_dumps_of_the_oracle(self):
+        # One dict per p in {2, 3}, keyed by exactly the balls of the results
+        # that monodromy builds once per table ball; each value holds that
+        # very result and its two fragments, built here by the oracle.
+        fragments = semistab.cli._TABLE_FRAGMENTS
+        assert set(fragments) == {2, 3}
+        for p in (2, 3):
+            results = table_results(p)
+            assert len(fragments[p]) == len(results)
+            assert set(fragments[p]) == {result.ball for result in results}
+            for result in results:
+                stored, ball_item, entry_text = fragments[p][result.ball]
+                assert stored is result
+                assert "{%s}" % ball_item == json.dumps(
+                    {str(p): oracle_ball_id(result)}
+                )
+                assert entry_text == json.dumps(oracle_local(result), sort_keys=True)
+
+    def test_every_branch_is_json_dumps_of_its_record(self):
+        # s = +-2^a 3^b u with u prime to 6 in each of its 12 classes mod 36:
+        # every table ball at 2 and 3 (a <= 2, b <= 5), the twisted balls at 3
+        # (b >= 6, built per call) and the refusals at 2 (a >= 3).
+        table = {
+            (p, result.ball): result for p in (2, 3) for result in table_results(p)
+        }
+        rng = random.Random(42)
+        reached = set()
+        twisted = refused = 0
+        for a in range(9):
+            for b in range(14):
+                for r in (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35):
+                    for sign in (1, -1):
+                        s = sign * 2**a * 3**b * (r + 36 * rng.randrange(10**4))
+                        report = family_report(s)
+                        assert semistab.cli.sweep_record(s) == (
+                            json.dumps(sweep_oracle(s, report), sort_keys=True)
+                            + "\n",
+                            report.degree,
+                        )
+                        for entry in report.locals:
+                            if table.get((entry.p, entry.ball)) is entry:
+                                reached.add((entry.p, entry.ball))
+                            elif entry.p == 3:
+                                twisted += 1
+                            elif entry.p == 2:
+                                refused += entry.group is None
+        assert reached == set(table)
+        assert twisted == 8 * 9 * 12 * 2
+        assert refused == 6 * 14 * 12 * 2
 
     def test_thread_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

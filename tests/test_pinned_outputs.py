@@ -3,6 +3,7 @@ the monodromy module (curve, sweep) and before the reduction tables at 2 and
 3 moved into FAMILY_TABLES (cover); any change to these bytes is a change of
 behaviour."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,27 @@ def test_sweep_jsonl_and_summary(capsys, tmp_path):
         '"24": 6, "not-tabulated": 11}, "records": 91}\n'
     )
     assert out_file.read_bytes() == (GOLDEN / "sweep_-30_60.jsonl").read_bytes()
+
+
+# The file's sha256, recorded before a table ball's fragments at 2 and 3
+# were looked up instead of formatted per record. -1500..1500 reaches what
+# the golden -30..60 file does not: v3(s) = 6 (+-729, +-1458), a twisted
+# ball at 3, and v2(s) >= 6.
+SWEEP_1500_SHA256 = "542b7a09789dd11f67b80e2428427d1b67bc07935b6545d9bd8bc2e760795005"
+
+
+def test_sweep_wide_range_digest_and_summary(capsys, tmp_path):
+    out_file = tmp_path / "sweep.jsonl"
+    code, out = run(
+        capsys, "--plain", "sweep", "--from", "-1500", "--to", "1500",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert out == (
+        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2438, '
+        '"24": 188, "not-tabulated": 375}, "records": 3001}\n'
+    )
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_1500_SHA256
 
 
 COVER_GOLDEN = {
