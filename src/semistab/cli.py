@@ -9,14 +9,14 @@ All data output is deterministic for fixed flags; the only non-data line is
 a version header, suppressible with --plain.
 
 The per-prime monodromy and the degree come from monodromy.family_report and
-monodromy.curve_report; this module only serializes them, `sweep`'s ball
-labels at 2 and 3 too (the balls on those results). `curve` prints a dict
-through json.dumps; `sweep` formats each record's line straight from its
-report, in the bytes json.dumps would give it. A result that monodromy
-builds once per table ball at 2 and 3 has its ball label and its entry
-looked up, in fragments built once per ball at import; any other entry with
-a group comes from a fragment built once per (group, provenance). `sweep`
-computes its records serially: --threads is accepted and has no effect.
+monodromy.curve_report; this module only serializes them, and writes
+`sweep`'s ball labels center+p^k of the balls on those results at 2 and 3.
+`curve` prints a dict through json.dumps; `sweep` formats each record's line
+straight from its report, in the bytes json.dumps would give it. At 2 and 3
+one builder, _ball_fragments, writes an entry's ball label and its entry; it
+runs once per table ball at import, so a table ball's result has both looked
+up. At p >= 5 an entry is a fragment built once per (group, provenance).
+`sweep` computes its records serially: --threads is accepted, with no effect.
 
 main parses the command that argv names (argv[0], or argv[1] after an
 exact --plain) with one parser of its own, which reads the tokens after the
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import parse_rational
-from .cover import CoverReport, _ball_label, enumerate_cover
+from .cover import CoverReport, enumerate_cover
 from .curves import WeierstrassCurve, compute_invariants, family_curve
 from .errors import (
     InvalidInputError,
@@ -85,7 +85,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by i
 # higher in peak RSS than computing a block and then writing it.
 SWEEP_BLOCK = 100
 
-# The escaper of json.dumps's default (ASCII) output, for sweep_record's
+# The escaper of json.dumps's default (ASCII) output, for _ball_fragments's
 # refusal texts; the line of s = 0, the singular curve, which has no report.
 _escape = json.encoder.encode_basestring_ascii
 _SINGULAR_LINE = (
@@ -95,9 +95,9 @@ _SINGULAR_LINE = (
 # An entry with a group, as a format string of its prime p: one per (group
 # label, provenance) that LocalMonodromyResult admits with a group, so 7 x 4
 # keys, each `fmt % p` the bytes json.dumps gives local_data. sweep_record
-# formats a tame prime's entry with it, and _TABLE_FRAGMENTS a table
-# result's once. Keyed by the label, a str, because an Enum member hashes in
-# Python code.
+# formats a tame prime's entry with it, and _ball_fragments an entry with a
+# group at 2 and 3. Keyed by the label, a str, because an Enum member hashes
+# in Python code.
 _ENTRY_FORMATS = {
     (group.label, provenance): (
         '{"group": %s, "order": %d, "p": %%d, "provenance": %s}'
@@ -109,18 +109,26 @@ _ENTRY_FORMATS = {
     )
 }
 
-# sweep_record's two fragments of each result that monodromy builds once per
-# table ball at 2 and 3 (_FAMILY_RESULTS): per p, the result's ball maps to
-# (result, its ball_ids item, its entry under "locals"). sweep_record takes
-# them only for the result itself (`is`): a twisted ball at 3, built per
-# call, and a refusal at 2 are formatted per record. 5 balls at 2, 20 at 3.
+
+def _ball_fragments(entry: LocalMonodromyResult) -> tuple[str, str]:
+    """An entry's ball_ids item at p in {2, 3}, its ball's label center+p^k
+    (no escaping needed) or null, and its entry under "locals": the
+    _ENTRY_FORMATS fragment of its group, else its refusal text, escaped."""
+    p, group, ball = entry.p, entry.group, entry.ball
+    item = '"%d": "%d+%d^%d"' % (p, ball[0], p, ball[1]) if ball else '"%d": null' % p
+    if group is None:
+        return item, '{"group": null, "order": null, "p": %d, "provenance": %s}' % (
+            p, _escape(entry.provenance)
+        )
+    return item, _ENTRY_FORMATS[group.label, entry.provenance] % p
+
+
+# _ball_fragments of each result built once per table ball (_FAMILY_RESULTS),
+# per p in {2, 3}: its ball maps to (result, ball_ids item, "locals" entry),
+# which sweep_record takes for that very result (`is`). 5 balls at 2, 20 at 3.
 _TABLE_FRAGMENTS = {
     p: {
-        result.ball: (
-            result,
-            '"%d": "%s"' % (p, _ball_label(p, *result.ball)),
-            _ENTRY_FORMATS[result.group.label, result.provenance] % p,
-        )
+        result.ball: (result, *_ball_fragments(result))
         for _, results in rows
         for result in results.values()
     }
@@ -293,15 +301,11 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     The line is formatted from the report, with no record dict: its keys in
     sorted order, ints by %d and None as null, so it is the bytes of
     json.dumps(record, sort_keys=True) for the record of the README. Its
-    entries under "locals" have the shape local_data gives `curve`. ball_ids
-    labels the ball of s at 2 and 3 that the group was read off (digits, '+'
-    and '^', which need no escaping), null where that prime is refused. An
-    entry that is the result of a table ball, the one _FAMILY_RESULTS
-    built, takes its ball_ids item and its entry from _TABLE_FRAGMENTS; any
-    other is formatted here: one with a group, at a tame prime or a twisted
-    ball at 3, is its _ENTRY_FORMATS fragment % p, and a refusal's
-    free-form text goes through the escaper that json.dumps uses.
-    TestSweep's byte tests check every branch."""
+    entries under "locals" have the shape local_data gives `curve`. Two
+    cases: at 2 and 3 an entry's ball_ids item and entry are
+    _ball_fragments's, looked up in _TABLE_FRAGMENTS for a table ball's own
+    result; at p >= 5, where every _FAMILY_TAME row has a group, its
+    _ENTRY_FORMATS fragment % p. TestSweep's byte tests check both."""
     if s == 0:
         return _SINGULAR_LINE, None
     report = family_report(s)
@@ -311,23 +315,15 @@ def sweep_record(s: int) -> tuple[str, int | None]:
     for entry in report.locals:
         p = entry.p
         if p in _TABLE_FRAGMENTS:
-            ball = entry.ball
-            known = _TABLE_FRAGMENTS[p].get(ball)
+            known = _TABLE_FRAGMENTS[p].get(entry.ball)
             if known is not None and known[0] is entry:
-                balls.append(known[1])
-                entries.append(known[2])
-                continue
-            balls.append(
-                '"%d": "%s"' % (p, _ball_label(p, *ball)) if ball else '"%d": null' % p
-            )
-        group = entry.group
-        if group is None:
-            entries.append(
-                '{"group": null, "order": null, "p": %d, "provenance": %s}'
-                % (p, _escape(entry.provenance))
-            )
+                _, ball_item, text = known
+            else:
+                ball_item, text = _ball_fragments(entry)
+            balls.append(ball_item)
+            entries.append(text)
         else:
-            entries.append(_ENTRY_FORMATS[group.label, entry.provenance] % p)
+            entries.append(_ENTRY_FORMATS[entry.group.label, entry.provenance] % p)
     line = '{"ball_ids": {%s}, "degree": %s, "locals": [%s], %s"s": "%d"}\n' % (
         ", ".join(balls),
         "null" if degree is None else "%d" % degree,

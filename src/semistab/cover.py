@@ -9,7 +9,7 @@ period of the rule, at 3), and checks the covering properties.
 A ball is stored as (center, modulus_exponent k) with v_p(center) < k, so
 every element of center + p^k Z_p automatically shares the center's
 valuation; the stratum is readable off the center. All balls of a stratum
-share one modulus exponent.
+share one modulus exponent. The cli writes the label of a ball in `sweep`.
 
 `locate` reads the ball of s off the family's result at p that
 monodromy._family_ball returns (the lookup that builds the balls too, one per
@@ -31,10 +31,6 @@ from functools import cached_property
 from .arith import Rational, is_prime, residue, valuation
 from .errors import InvalidInputError, NotTabulatedError, TheoremViolationError
 from .monodromy import FAMILY_TABLES, MonodromyGroup, _family_ball, _nonzero_parameter
-
-
-def _ball_label(p: int, center: int, k: int) -> str:
-    return f"{center}+{p}^{k}"
 
 
 @dataclass(frozen=True)

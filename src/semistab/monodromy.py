@@ -7,22 +7,24 @@ the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per stratum v_p(s): at 3 one closed
-rule over v mod 6, at 2 a row or a refusal, no guess. The
-result of every ball of a row is built once, at import, into _FAMILY_RESULTS;
-one lookup, _family_ball, returns the one of s, with its group and its p-adic
-ball, for the rules here and for the cover module's balls and locate. At
-p >= 5 one tame rule (Serre-Tate), _tame_rule, serves every model; for the
-family it is read once, at import, into six rows _FAMILY_TAME, one per
-v_p(s) mod 6, since v_p(delta) = 2 v_p(s) and c4 = 0. family_report takes
-v_p(s) from the one factorization in bad_primes, and curve_report takes
-v_p(delta) from the one factorization of delta for _phi_model, the rule of
-any other model: one call per prime, and no valuation call of their own.
+rule over v mod 6, at 2 a row or a refusal, no guess. The result of every
+ball of a row is built once, at import, into _FAMILY_RESULTS; one lookup,
+_family_ball, returns the one of s, with its group and its p-adic ball, for
+the rules here and for the cover module's balls and locate (at 3 a v outside
+0..5 gets its row's result with s's own ball, by _replace). At p >= 5 one
+tame rule (Serre-Tate), _tame_rule, serves every model; for the family it is
+read once, at import, into six rows _FAMILY_TAME, one per v_p(s) mod 6,
+since v_p(delta) = 2 v_p(s) and c4 = 0. family_report takes v_p(s) from the
+one factorization in bad_primes, and curve_report takes v_p(delta) from the
+one factorization of delta for _phi_model, the rule of any other model: one
+call per prime, and no valuation call of their own.
 
 This module is the one place that derives a curve's per-prime results. A rule
 that refuses a prime returns a result with group None and the refusal's text
 as its provenance; family_report and curve_report return every bad prime in
-prime order, refused ones too, with the lcm, checked to divide 24. Only the
-one-answer functions raise that text as NotTabulatedError (_answer).
+prime order, refused ones too, with the lcm, checked to divide M(2) = 24
+(minkowski_bound(1)). Only the one-answer functions raise that text as
+NotTabulatedError (_answer).
 
 The results and reports are immutable tuple records (LocalMonodromyResult,
 DegreeReport), cheap to build once per prime of every sweep record. An int s
@@ -45,6 +47,7 @@ from .errors import (
     SingularCurveError,
     TheoremViolationError,
 )
+from .minkowski import minkowski_bound
 
 class MonodromyGroup(enum.Enum):
     """The finite groups arising as local monodromy of the family."""
@@ -198,7 +201,8 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
     as its .ball = (center, k) and its group. Row v = (d, groups) of
     FAMILY_TABLES has k = v + d and center s mod p^k = p^v * (u mod p^d), so
     u is never built. At 2 a v without a row is refused (group None); at 3
-    another v reads row w = v mod 6 for s * 3^(w - v); s's ball, None if v < 0.
+    another v takes the result of s * 3^(w - v) in row w = v mod 6, the sextic
+    twist, with s's own ball: its ball scaled by 3^(v - w), None if v < 0.
     """
     rows = _FAMILY_RESULTS[p]
     if 0 <= v < len(rows):
@@ -211,10 +215,9 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
             2, None, f"v2(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
     w = v % 6
-    group = _family_ball(3, s * Fraction(3) ** (w - v), w).group
-    k = v + FAMILY_TABLES[3][w][0]
-    ball = (residue(s, 3**k), k) if v >= 0 else None
-    return LocalMonodromyResult(3, group, "family-table-3", ball)
+    result = _family_ball(3, s * Fraction(3) ** (w - v), w)
+    center, k = result.ball
+    return result._replace(ball=(center * 3 ** (v - w), k + v - w) if v >= 0 else None)
 
 
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
@@ -351,20 +354,24 @@ def phi_general_curve(curve: WeierstrassCurve, p: int) -> LocalMonodromyResult:
     return _answer(_phi_model(curve, p, valuation(curve.invariants.delta, p)))
 
 
+#: M(2) = 24, the lcm of the finite subgroups of GL_2(Q): d(E) divides it.
+_ELLIPTIC_BOUND = minkowski_bound(1)
+
+
 def _degree_report(
     s: Rational | None, locals_: list[LocalMonodromyResult]
 ) -> DegreeReport:
     """Attach d(E), the lcm of the local orders (1 for no entry), in one pass:
     degree None at the first refused prime, else the lcm, which must divide
-    the g = 1 bound 24 (TheoremViolationError if not)."""
+    the g = 1 bound _ELLIPTIC_BOUND (TheoremViolationError if not)."""
     degree = 1
     for entry in locals_:
         if entry.group is None:
             return DegreeReport(s, tuple(locals_), None)
         degree = math.lcm(degree, entry.group.order)
-    if 24 % degree != 0:
+    if _ELLIPTIC_BOUND % degree != 0:
         raise TheoremViolationError(
-            f"degree {degree} does not divide the g=1 bound 24 (s = {s})"
+            f"degree {degree} does not divide the g=1 bound {_ELLIPTIC_BOUND} (s = {s})"
         )
     return DegreeReport(s, tuple(locals_), degree)
 

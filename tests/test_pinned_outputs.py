@@ -174,6 +174,27 @@ def test_sweep_wide_range_digest_and_summary(capsys, tmp_path):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_1500_SHA256
 
 
+# The file's sha256, recorded before a twisted ball at 3 became its row's
+# result with s's own ball and before the ball label moved into the cli.
+# s = 729 m for |m| <= 1458 has v3(s) = 6..12, past the -1500..1500 range:
+# twisted balls at 3 with exponents 8, 9, 11, 12 and 14, and s = 0.
+SWEEP_STEP_729_SHA256 = "3d54632588e73f846c3822e1a2a77d62236656066ff216111d0e28027ba12e58"
+
+
+def test_sweep_step_729_digest_and_summary(capsys, tmp_path):
+    out_file = tmp_path / "sweep.jsonl"
+    code, out = run(
+        capsys, "--plain", "sweep", "--from", "-1062882", "--to", "1062882",
+        "--step", "729", "--out", str(out_file),
+    )
+    assert code == 0
+    assert out == (
+        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2370, '
+        '"24": 182, "not-tabulated": 365}, "records": 2917}\n'
+    )
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_STEP_729_SHA256
+
+
 COVER_GOLDEN = {
     ("cover", "--p", "2", "--min-val", "0", "--max-val", "2", "--format", "json"):
         "cover_p2_0_2.json",
