@@ -28,7 +28,7 @@ class NotTabulatedError(SemistabError):
     guessed; never a bug.
 
     monodromy's one-answer functions raise it: phi_family_at_2 and
-    semistability_degree for v2(s) outside 0..2, the rows of the 2-adic table
+    semistability_degree for v2(s) mod 6 outside 0..2, the 2-adic table's rows
     (every v3(s) is answered at 3), and phi_general_curve for that and for a
     curve outside the family with bad reduction at 2 or 3. family_report and
     curve_report carry the same text as data: an entry with group None and

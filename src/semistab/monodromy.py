@@ -7,11 +7,11 @@ the lcm of these orders over all bad primes of the minimal model.
 
 At p = 2 and p = 3 the groups come from the family's reduction tables,
 stated once in FAMILY_TABLES, one row per stratum v_p(s): at 3 one closed
-rule over v mod 6, at 2 a row or a refusal, no guess. The result of every
+rule over v mod 6, at 2 rows 0..2 or a refusal, no guess. The result of each
 ball of a row is built once, at import, into _FAMILY_RESULTS; one lookup,
 _family_ball, returns the one of s, with its group and its p-adic ball, for
-the rules here and for the cover module's balls and locate (at 3 a v outside
-0..5 gets its row's result with s's own ball, by _replace). At p >= 5 one
+the rules here and for the cover module's balls and locate (a v outside the
+rows gets row v mod 6's result with s's own ball, by _replace). At p >= 5 one
 tame rule (Serre-Tate), _tame_rule, serves every model; for the family it is
 read once, at import, into six rows _FAMILY_TAME, one per v_p(s) mod 6,
 since v_p(delta) = 2 v_p(s) and c4 = 0. family_report takes v_p(s) from the
@@ -76,13 +76,13 @@ _CYCLIC_BY_ORDER = {
 #: The reduction tables of y^2 = x^3 + s at 2 and 3. Row v of FAMILY_TABLES[p]
 #: covers the stratum v_p(s) = v and is (d, {u: group}): the group of s is
 #: read off u = s / p^v mod p^d, so the stratum splits into the p-adic balls
-#: u * p^v + p^(v + d) Z_p, one per entry. At 2 a stratum without a row is
-#: refused. At 3 one rule gives rows 0..5: C4 when v = 0 mod 3 and u = +-1
-#: mod 9, else Dic3. Proof: v3(delta) = 3 + 2v is odd, so 4 divides |Phi_3|,
-#: which leaves C4 and Dic3 (Kraus 1990); Phi_3 / +-1 acts faithfully on E[2]
-#: (Serre-Tate 1968), whose field Q3^ur(zeta3, cbrt(s)) has degree 2, not 6,
-#: exactly when cbrt(s) is unramified: v = 0 mod 3 and u = +-1 mod 9. Row 5 is
-#: row 2 moved by the 3-isogeny s -> -27s; _family_ball twists v into 0..5.
+#: u * p^v + p^(v + d) Z_p, one per entry. _family_ball reads any other v in
+#: row v mod 6; at 2 rows 3..5 are missing. At 3 one rule gives rows 0..5: C4
+#: when v = 0 mod 3 and u = +-1 mod 9, else Dic3. Proof: v3(delta) = 3 + 2v is
+#: odd, so 4 divides |Phi_3|, which leaves C4 and Dic3 (Kraus 1990); Phi_3 /
+#: +-1 acts faithfully on E[2] (Serre-Tate 1968), whose field Q3^ur(zeta3,
+#: cbrt(s)) has degree 2, not 6, exactly when cbrt(s) is unramified: v = 0
+#: mod 3 and u = +-1 mod 9. Row 5 is row 2 moved by the 3-isogeny s -> -27s.
 FAMILY_TABLES: dict[int, tuple[tuple[int, dict[int, MonodromyGroup]], ...]] = {
     2: (
         (2, {1: MonodromyGroup.C3, 3: MonodromyGroup.C6}),
@@ -200,9 +200,9 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
     _FAMILY_RESULTS entry of the ball center + p^k Z_p of s, with that ball
     as its .ball = (center, k) and its group. Row v = (d, groups) of
     FAMILY_TABLES has k = v + d and center s mod p^k = p^v * (u mod p^d), so
-    u is never built. At 2 a v without a row is refused (group None); at 3
-    another v takes the result of s * 3^(w - v) in row w = v mod 6, the sextic
-    twist, with s's own ball: its ball scaled by 3^(v - w), None if v < 0.
+    u is never built. Another v takes the result of s * p^(w - v) in row
+    w = v mod 6, the sextic twist, with s's own ball (its ball scaled by
+    p^(v - w), None if v < 0); a w without a row (3..5 at 2) is refused.
     """
     rows = _FAMILY_RESULTS[p]
     if 0 <= v < len(rows):
@@ -210,14 +210,13 @@ def _family_ball(p: int, s: Rational, v: int) -> LocalMonodromyResult:
         if (result := results.get(residue(s, modulus))) is None:
             raise TheoremViolationError(f"{s} escaped every ball of the cover at {p}")
         return result
-    if p == 2:
+    if (w := v % 6) >= len(rows):
         return LocalMonodromyResult(
-            2, None, f"v2(s) = {v} outside tabulated range 0..{len(rows) - 1}"
+            p, None, f"v{p}(s) = {v} outside tabulated range 0..{len(rows) - 1}"
         )
-    w = v % 6
-    result = _family_ball(3, s * Fraction(3) ** (w - v), w)
+    result = _family_ball(p, s * Fraction(p) ** (w - v), w)
     center, k = result.ball
-    return result._replace(ball=(center * 3 ** (v - w), k + v - w) if v >= 0 else None)
+    return result._replace(ball=(center * p ** (v - w), k + v - w) if v >= 0 else None)
 
 
 def phi_family_at_3(s: Rational) -> MonodromyGroup:
@@ -230,10 +229,11 @@ def phi_family_at_3(s: Rational) -> MonodromyGroup:
 
 
 def phi_family_at_2(s: Rational) -> MonodromyGroup:
-    """Monodromy group at 2 of y^2 = x^3 + s, for v2(s) in {0, 1, 2}.
+    """Monodromy group at 2 of y^2 = x^3 + s, for v2(s) mod 6 in {0, 1, 2}.
 
-    v2(s) = 0: C3 when s = 1 mod 4, else C6. v2(s) = 1: C2. v2(s) = 2:
-    C3 when s/4 = -1 mod 4, else SL2(F3). Other v2(s): NotTabulatedError.
+    v2(s) = 0: C3 when s = 1 mod 4, else C6. v2(s) = 1: C2. v2(s) = 2: C3
+    when s/4 = -1 mod 4, else SL2(F3). Another v = v2(s) is read for the same
+    curve s * 2^(-6 floor(v/6)); v mod 6 in {3, 4, 5}: NotTabulatedError.
     """
     s = _nonzero_parameter(s)
     return _answer(_family_ball(2, s, valuation(s, 2))).group
@@ -414,9 +414,9 @@ def curve_report(curve: WeierstrassCurve) -> DegreeReport:
 def semistability_degree(s: Rational) -> DegreeReport:
     """d(E_s) = lcm over bad primes of the local monodromy orders.
 
-    family_report(s), which requires v2(s) in {0,1,2}: its first refused entry
-    raises NotTabulatedError with the entry's provenance as the text. Every
-    v3(s) is answered. The result always divides 24, and this is checked.
+    family_report(s), which requires v2(s) mod 6 in {0,1,2}: its first refused
+    entry raises NotTabulatedError with the entry's provenance as the text.
+    Every v3(s) is answered. The result always divides 24, and this is checked.
     """
     report = family_report(s)
     for entry in report.locals:

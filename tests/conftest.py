@@ -25,7 +25,8 @@ def make_tabulated_s(rng: random.Random) -> Fraction:
 
 def integer_parameters(seed: int) -> list[int]:
     """Seeded nonzero integers s of both signs: 3^b * m with b in 0..7, and
-    as many again times 2^a with a in 3..8, which the family refuses at 2."""
+    as many again times 2^a with a in 3..8, which the family refuses at 2
+    when v2(s) mod 6 is 3, 4 or 5."""
     rng = random.Random(seed)
     values = []
     for _ in range(30):

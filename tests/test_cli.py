@@ -537,14 +537,16 @@ class TestSweep:
 
     def test_every_branch_is_json_dumps_of_its_record(self):
         # s = +-2^a 3^b u with u prime to 6 in each of its 12 classes mod 36:
-        # every table ball at 2 and 3 (a <= 2, b <= 5), the twisted balls at 3
-        # (b >= 6, built per call) and the refusals at 2 (a >= 3).
+        # every table ball at 2 and 3 (a <= 2, b <= 5), the twisted balls
+        # (built per call) at 2 (a >= 6) and at 3 (b >= 6), and the refusals
+        # at 2 (a in 3..5).
         table = {
             (p, result.ball): result for p in (2, 3) for result in table_results(p)
         }
         rng = random.Random(42)
         reached = set()
-        twisted = refused = 0
+        twisted = {2: 0, 3: 0}
+        refused = 0
         for a in range(9):
             for b in range(14):
                 for r in (1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35):
@@ -559,13 +561,13 @@ class TestSweep:
                         for entry in report.locals:
                             if table.get((entry.p, entry.ball)) is entry:
                                 reached.add((entry.p, entry.ball))
-                            elif entry.p == 3:
-                                twisted += 1
+                            elif entry.p in twisted and entry.group is not None:
+                                twisted[entry.p] += 1
                             elif entry.p == 2:
-                                refused += entry.group is None
+                                refused += 1
         assert reached == set(table)
-        assert twisted == 8 * 9 * 12 * 2
-        assert refused == 6 * 14 * 12 * 2
+        assert twisted == {2: 3 * 14 * 12 * 2, 3: 8 * 9 * 12 * 2}
+        assert refused == 3 * 14 * 12 * 2
 
     def test_thread_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -57,13 +57,14 @@ CURVE_JSON = {
         '{"group": "C6", "order": 6, "p": 7, "provenance": "tame-rule"}], '
         '"s": "109375"}',
     ),
+    # 1/64 = 1 * (1/2)^6, the same curve as s = 1: its groups and degree.
     "1/64": (
-        3,
-        '{"bad_primes": [2, 3], "degree": null, "delta": "-27/256", '
-        '"divides_minkowski": null, "monodromy": [{"group": null, '
-        '"order": null, "p": 2, "provenance": "v2(s) = -6 outside '
-        'tabulated range 0..2"}, {"group": "C4", "order": 4, "p": 3, '
-        '"provenance": "family-table-3"}], "s": "1/64"}',
+        0,
+        '{"bad_primes": [2, 3], "degree": 12, "delta": "-27/256", '
+        '"divides_minkowski": true, "monodromy": [{"group": "C3", '
+        '"order": 3, "p": 2, "provenance": "family-table-2"}, {"group": '
+        '"C4", "order": 4, "p": 3, "provenance": "family-table-3"}], '
+        '"s": "1/64"}',
     ),
 }
 
@@ -153,11 +154,12 @@ def test_sweep_jsonl_and_summary(capsys, tmp_path):
     assert out_file.read_bytes() == (GOLDEN / "sweep_-30_60.jsonl").read_bytes()
 
 
-# The file's sha256, recorded before a table ball's fragments at 2 and 3
-# were looked up instead of formatted per record. -1500..1500 reaches what
-# the golden -30..60 file does not: v3(s) = 6 (+-729, +-1458), a twisted
-# ball at 3, and v2(s) >= 6.
-SWEEP_1500_SHA256 = "542b7a09789dd11f67b80e2428427d1b67bc07935b6545d9bd8bc2e760795005"
+# The file's sha256, re-taken when v2(s) >= 6 with v2(s) mod 6 in {0, 1, 2}
+# began to take the sextic twist at 2: 42 lines, each a refusal before, then
+# the answer of s * 2^(-6k). -1500..1500 reaches what the golden -30..60 file
+# does not: v3(s) = 6 (+-729, +-1458), a twisted ball at 3, and v2(s) >= 6,
+# twisted balls at 2 and refusals.
+SWEEP_1500_SHA256 = "4a8a82b13c4befb1ac5c08ff4bc27bf00d50d2520cb0d25f08c04eb613644a0f"
 
 
 def test_sweep_wide_range_digest_and_summary(capsys, tmp_path):
@@ -168,17 +170,17 @@ def test_sweep_wide_range_digest_and_summary(capsys, tmp_path):
     )
     assert code == 0
     assert out == (
-        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2438, '
-        '"24": 188, "not-tabulated": 375}, "records": 3001}\n'
+        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2477, '
+        '"24": 191, "not-tabulated": 333}, "records": 3001}\n'
     )
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_1500_SHA256
 
 
-# The file's sha256, recorded before a twisted ball at 3 became its row's
-# result with s's own ball and before the ball label moved into the cli.
-# s = 729 m for |m| <= 1458 has v3(s) = 6..12, past the -1500..1500 range:
-# twisted balls at 3 with exponents 8, 9, 11, 12 and 14, and s = 0.
-SWEEP_STEP_729_SHA256 = "3d54632588e73f846c3822e1a2a77d62236656066ff216111d0e28027ba12e58"
+# The file's sha256, re-taken when the sextic twist began to serve 2 as it
+# serves 3 (40 lines, each a refusal at 2 before). s = 729 m for
+# |m| <= 1458 has v3(s) = 6..12, past the -1500..1500 range: twisted balls
+# at 3 with exponents 8, 9, 11, 12 and 14, and s = 0.
+SWEEP_STEP_729_SHA256 = "8405be9ce3338533ffedb59de7f065c995ac11b8af305a65aaf9dbc7d15245bc"
 
 
 def test_sweep_step_729_digest_and_summary(capsys, tmp_path):
@@ -189,8 +191,8 @@ def test_sweep_step_729_digest_and_summary(capsys, tmp_path):
     )
     assert code == 0
     assert out == (
-        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2370, '
-        '"24": 182, "not-tabulated": 365}, "records": 2917}\n'
+        '{"all_degrees_divide_24": true, "degree_counts": {"12": 2407, '
+        '"24": 185, "not-tabulated": 325}, "records": 2917}\n'
     )
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SWEEP_STEP_729_SHA256
 
